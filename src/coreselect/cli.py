@@ -14,8 +14,6 @@ import sys
 from .core import core_violations, project_to_mrc
 from .llg import (
     BoundaryProximityError,
-    GlobalWinnerError,
-    Region,
     RegionMap,
     classify_case,
     numeric_derivative,
@@ -26,13 +24,7 @@ from .llg import (
     sensitivity,
     sensitivity2,
 )
-from .model import (
-    AuctionInstance,
-    InvalidCoalitionError,
-    LlgBidProfile,
-    SizeLimitError,
-    instance_from_json,
-)
+from .model import AuctionInstance, LlgBidProfile, instance_from_json
 from .reference import ReferenceRule, reference_point
 from .verify import DEFAULT_SEED, run_all
 
@@ -240,16 +232,12 @@ def render_region_map_svg(grid: RegionMap, size: int = 640) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit_svg(grid: RegionMap, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_region_map_svg(grid))
-
-
 def _cmd_region_map(args: argparse.Namespace) -> int:
     grid = region_map(ReferenceRule(args.rule), g=args.g, resolution=args.resolution)
     _write(args, region_map_to_csv(grid))
     if args.svg:
-        emit_svg(grid, args.svg)
+        with open(args.svg, "w", encoding="utf-8") as handle:
+            handle.write(render_region_map_svg(grid))
     return 0
 
 
@@ -310,15 +298,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (
-        GlobalWinnerError,
-        SizeLimitError,
-        InvalidCoalitionError,
-        ValueError,
-    ) as exc:
+    except (OSError, ValueError) as exc:
+        # Input errors: JSON decoding and every coreselect error are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,12 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import (
-    AuctionInstance,
-    LlgBidProfile,
-    coalition_value_table,
-    winner_determination,
-)
+from .model import AuctionInstance, LlgBidProfile
 from .reference import PaymentVector
 
 CORE_TOLERANCE = 1e-9
@@ -81,20 +76,19 @@ def core_constraints(instance: AuctionInstance) -> list[CoreConstraint]:
     (the full set is vacuous and omitted), then an individual-rationality cap
     and a non-negativity floor for every bidder.
     """
-    allocation = winner_determination(instance)
     ids = instance.bidder_ids()
     everyone = frozenset(ids)
-    table = coalition_value_table(instance)
-    realized = {i: instance.bid_value(i, allocation.bundle_for(i)) for i in ids}
+    table = instance.coalition_values
+    realized = instance.realized
 
     constraints = []
     for mask in range((1 << instance.n) - 1):
         coalition = frozenset(ids[i] for i in range(instance.n) if mask >> i & 1)
-        bound = table[mask] - sum(realized[i] for i in coalition)
+        bound = table[mask] - sum(realized[i - 1] for i in coalition)
         constraints.append(CoreConstraint("coalition", coalition, everyone - coalition, bound))
     for i in ids:
         single = frozenset({i})
-        constraints.append(CoreConstraint("ir", single, single, realized[i]))
+        constraints.append(CoreConstraint("ir", single, single, realized[i - 1]))
         constraints.append(CoreConstraint("nonneg", single, single, 0.0))
     return constraints
 
@@ -119,8 +113,8 @@ def is_in_core(instance: AuctionInstance, payments: PaymentVector | Sequence[flo
 def llg_mrc_segment(profile: LlgBidProfile) -> MrcSegment:
     """Minimum-revenue core segment of the LLG instance for the profile.
 
-    Valid exactly when the locals jointly win (a + b >= g). The ends come
-    from the two mixed blocking coalitions: p1 >= max(0, g - b) and
+    Valid exactly when the locals win (``profile.locals_win()``). The ends
+    come from the two mixed blocking coalitions: p1 >= max(0, g - b) and
     p1 <= min(a, g), the latter also being bidder 1's rationality cap when
     a <= g.
     """
@@ -128,7 +122,7 @@ def llg_mrc_segment(profile: LlgBidProfile) -> MrcSegment:
         g=profile.g,
         p1_min=max(0.0, profile.g - profile.b),
         p1_max=min(profile.a, profile.g),
-        valid=profile.a + profile.b >= profile.g,
+        valid=profile.locals_win(),
     )
 
 

@@ -8,8 +8,8 @@ maps over the (a, b) plane.
 
 The bid space splits into four cases by comparing each local bid to the
 global bid, with ties counted as weak; every closed form is continuous
-across the case boundaries. The forms are valid where the locals jointly
-win (a + b >= g).
+across the case boundaries. The forms are valid where the locals win,
+which ``LlgBidProfile.locals_win`` decides with the engine's tie rule.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .core import llg_mrc_segment, mrc_even_split, project_to_mrc
-from .model import LlgBidProfile, llg_instance
+from .model import TIE_TOLERANCE, LlgBidProfile, llg_instance
 from .reference import PaymentVector, ReferenceRule, reference_point
 
 BOUNDARY_TOLERANCE = 1e-9
@@ -50,7 +50,7 @@ class Region(Enum):
     NONNEG_BINDING: pinned at a zero-payment end of the segment, p1 = 0 when
     b > g or p2 = 0 when a > g (derivative 0).
     INTERIOR: the even split itself is feasible (derivative = sensitivity / 2).
-    GLOBAL_WINNER: only used in region maps for cells where a + b < g.
+    GLOBAL_WINNER: only used in region maps for cells where the global bidder wins.
     """
 
     IR1_BINDING = "ir1_binding"
@@ -236,7 +236,7 @@ def projection_derivative(profile: LlgBidProfile, rule: ReferenceRule) -> Deriva
     sensitivity. Profiles within tolerance of either end are flagged: the
     projected payment has a kink there and no two-sided derivative.
     """
-    if profile.a + profile.b < profile.g:
+    if not profile.locals_win():
         raise GlobalWinnerError(
             f"global bidder wins at (a, b, g) = ({profile.a}, {profile.b}, {profile.g})"
         )
@@ -274,7 +274,7 @@ def numeric_derivative(
     segment-end kinks of the projection.
     """
     a, b, g = profile.a, profile.b, profile.g
-    if a + b < g:
+    if not profile.locals_win():
         raise GlobalWinnerError(f"global bidder wins at (a, b, g) = ({a}, {b}, {g})")
     if h is None:
         h = 1e-5 * max(1.0, abs(a))
@@ -316,7 +316,7 @@ def region_map(rule: ReferenceRule, g: float = 1.0, resolution: int = 200) -> Re
     """Evaluate the projection derivative on a resolution x resolution grid.
 
     Grid points span [0, 2g] inclusively on both axes, row-major by a then b.
-    Cells where the locals lose (a + b < g) are marked as global-winner.
+    Cells where the global bidder wins are marked as global-winner.
     """
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
@@ -327,7 +327,8 @@ def region_map(rule: ReferenceRule, g: float = 1.0, resolution: int = 200) -> Re
     for a in coords:
         row: list[DerivativeReport | None] = []
         for b in coords:
-            if a + b < g:
+            # LlgBidProfile.locals_win inline: global-winner cells need no profile.
+            if a + b < g - TIE_TOLERANCE:
                 row.append(None)
             else:
                 row.append(projection_derivative(LlgBidProfile(a, b, g), rule))

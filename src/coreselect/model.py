@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 MAX_BIDDERS = 12
@@ -65,8 +66,12 @@ class LlgBidProfile:
         return LlgBidProfile(self.b, self.a, self.g)
 
     def locals_win(self) -> bool:
-        """True when the two locals jointly beat the global bid (ties go to the locals)."""
-        return self.a + self.b >= self.g
+        """True when the engine awards both goods to the locals.
+
+        This is the engine's own tie rule: the global bid must beat the
+        locals' joint bid by more than ``TIE_TOLERANCE`` to win.
+        """
+        return self.a + self.b >= self.g - TIE_TOLERANCE
 
     def to_instance(self) -> "AuctionInstance":
         return llg_instance(self.a, self.b, self.g)
@@ -74,7 +79,12 @@ class LlgBidProfile:
 
 @dataclass(frozen=True)
 class AuctionInstance:
-    """An auction with named goods and XOR bidders with ids 1..n, in order."""
+    """An auction with named goods and XOR bidders with ids 1..n, in order.
+
+    The efficient allocation, the realized bid values and the coalition
+    value table are solved on first use and kept on the instance; every
+    payment rule and the core constraints read them from there.
+    """
 
     goods: tuple[str, ...]
     bidders: tuple[Bidder, ...]
@@ -123,6 +133,22 @@ class AuctionInstance:
             if bid.bundle == bundle and bid.value > best:
                 best = bid.value
         return best
+
+    @cached_property
+    def allocation(self) -> "Allocation":
+        """The efficient allocation, solved once."""
+        return winner_determination(self)
+
+    @cached_property
+    def realized(self) -> tuple[float, ...]:
+        """Each bidder's accepted bid value under ``allocation``, in id order."""
+        allocation = self.allocation
+        return tuple(self.bid_value(i, allocation.bundle_for(i)) for i in self.bidder_ids())
+
+    @cached_property
+    def coalition_values(self) -> tuple[float, ...]:
+        """``coalition_value_table`` of the instance, solved once."""
+        return tuple(coalition_value_table(self))
 
 
 @dataclass
@@ -178,31 +204,33 @@ def _bidder_options(bidder: Bidder, good_index: dict[str, int]):
     return options
 
 
-def _exhaustive_best(
-    instance: AuctionInstance, allowed: set[int]
-) -> tuple[float, dict[int, frozenset[str]]]:
-    """Welfare-maximal feasible assignment among the allowed bidders.
+def _instance_options(instance: AuctionInstance) -> list:
+    """``_bidder_options`` of every bidder, in id order."""
+    good_index = {good: i for i, good in enumerate(instance.goods)}
+    return [_bidder_options(bidder, good_index) for bidder in instance.bidders]
 
+
+def _exhaustive_best(options: list) -> tuple[float, list[frozenset[str]]]:
+    """Welfare-maximal feasible choice of one option per bidder.
+
+    ``options`` holds the ``_bidder_options`` of the participating bidders
+    in id order; the result is the welfare and each one's awarded bundle.
     Ties are broken toward the lexicographically smallest assignment vector
     over bidder ids, with non-empty bundles ordered before the empty award,
     so lower bidder ids win ties and at an exact locals/global welfare tie in
     LLG the locals win.
     """
-    active = [bidder for bidder in instance.bidders if bidder.id in allowed]
-    good_index = {good: i for i, good in enumerate(instance.goods)}
-    options = [_bidder_options(bidder, good_index) for bidder in active]
-
-    suffix_max = [0.0] * (len(active) + 1)
-    for i in range(len(active) - 1, -1, -1):
+    suffix_max = [0.0] * (len(options) + 1)
+    for i in range(len(options) - 1, -1, -1):
         suffix_max[i] = suffix_max[i + 1] + max(value for _, value, _ in options[i])
 
     best_welfare = -1.0
     best_choice: list[frozenset[str]] | None = None
-    choice: list[frozenset[str]] = [frozenset()] * len(active)
+    choice: list[frozenset[str]] = [frozenset()] * len(options)
 
     def walk(idx: int, used_mask: int, welfare: float) -> None:
         nonlocal best_welfare, best_choice
-        if idx == len(active):
+        if idx == len(options):
             # Enumeration follows the canonical option order, so the first
             # assignment reaching a welfare level is the tie-break winner.
             if welfare > best_welfare + TIE_TOLERANCE:
@@ -220,16 +248,13 @@ def _exhaustive_best(
 
     walk(0, 0, 0.0)
     assert best_choice is not None
-    assignment = {bidder.id: frozenset() for bidder in instance.bidders}
-    for bidder, bundle in zip(active, best_choice):
-        assignment[bidder.id] = bundle
-    return max(best_welfare, 0.0), assignment
+    return max(best_welfare, 0.0), best_choice
 
 
 def winner_determination(instance: AuctionInstance) -> Allocation:
     """Efficient allocation of the full instance, with deterministic tie-breaking."""
-    welfare, assignment = _exhaustive_best(instance, set(instance.bidder_ids()))
-    return Allocation(assignment, welfare)
+    welfare, choice = _exhaustive_best(_instance_options(instance))
+    return Allocation(dict(zip(instance.bidder_ids(), choice)), welfare)
 
 
 def _validated_coalition(instance: AuctionInstance, coalition: Iterable[int]) -> set[int]:
@@ -243,7 +268,8 @@ def _validated_coalition(instance: AuctionInstance, coalition: Iterable[int]) ->
 def coalitional_value(instance: AuctionInstance, coalition: Iterable[int]) -> float:
     """Welfare the coalition achieves on its own, all other bids set to zero."""
     ids = _validated_coalition(instance, coalition)
-    welfare, _ = _exhaustive_best(instance, ids)
+    options = _instance_options(instance)
+    welfare, _ = _exhaustive_best([options[i - 1] for i in sorted(ids)])
     return welfare
 
 
@@ -258,10 +284,10 @@ def realized_welfare(
 def coalition_value_table(instance: AuctionInstance) -> list[float]:
     """Coalitional value of every bidder subset, indexed by bitmask (bit i = bidder id i+1)."""
     n = instance.n
+    options = _instance_options(instance)
     table = [0.0] * (1 << n)
     for mask in range(1, 1 << n):
-        ids = {i + 1 for i in range(n) if mask >> i & 1}
-        table[mask] = _exhaustive_best(instance, ids)[0]
+        table[mask] = _exhaustive_best([options[i] for i in range(n) if mask >> i & 1])[0]
     return table
 
 

@@ -14,12 +14,7 @@ from enum import Enum
 from itertools import permutations
 from math import factorial
 
-from .model import (
-    AuctionInstance,
-    SizeLimitError,
-    coalition_value_table,
-    winner_determination,
-)
+from .model import AuctionInstance, SizeLimitError
 
 PERMUTATION_ORACLE_MAX_BIDDERS = 6
 
@@ -69,25 +64,18 @@ class PaymentVector:
 
 def first_price(instance: AuctionInstance) -> PaymentVector:
     """Winners pay their accepted bid; losers pay nothing."""
-    allocation = winner_determination(instance)
-    return PaymentVector(
-        tuple(instance.bid_value(i, allocation.bundle_for(i)) for i in instance.bidder_ids())
-    )
+    return PaymentVector(instance.realized)
 
 
 def vcg(instance: AuctionInstance) -> PaymentVector:
     """Each bidder pays the externality she imposes on the others."""
-    allocation = winner_determination(instance)
     full = (1 << instance.n) - 1
-    table = coalition_value_table(instance)
+    table = instance.coalition_values
+    realized = instance.realized
     values = []
     for i in instance.bidder_ids():
         others_value = table[full & ~(1 << (i - 1))]
-        others_realized = sum(
-            instance.bid_value(j, allocation.bundle_for(j))
-            for j in instance.bidder_ids()
-            if j != i
-        )
+        others_realized = sum(realized[j - 1] for j in instance.bidder_ids() if j != i)
         values.append(others_value - others_realized)
     return PaymentVector(tuple(values))
 
@@ -100,7 +88,15 @@ def _shapley_weights(n: int, with_auctioneer: bool) -> list[float]:
     return [factorial(s) * factorial(n - s - 1) / factorial(n) for s in range(n)]
 
 
-def _payoffs_from_table(table: list[float], n: int, with_auctioneer: bool) -> tuple[float, ...]:
+def shapley_payoffs(instance: AuctionInstance, with_auctioneer: bool = False) -> PaymentVector:
+    """Subset-weighted average marginal contribution of each bidder.
+
+    With ``with_auctioneer`` the auctioneer is an extra player whose absence
+    zeroes every coalition, which only changes the subset weights for the
+    bidders themselves.
+    """
+    n = instance.n
+    table = instance.coalition_values
     weights = _shapley_weights(n, with_auctioneer)
     payoffs = []
     for i in range(n):
@@ -111,29 +107,13 @@ def _payoffs_from_table(table: list[float], n: int, with_auctioneer: bool) -> tu
                 continue
             total += weights[mask.bit_count()] * (table[mask | bit] - table[mask])
         payoffs.append(total)
-    return tuple(payoffs)
-
-
-def shapley_payoffs(instance: AuctionInstance, with_auctioneer: bool = False) -> PaymentVector:
-    """Subset-weighted average marginal contribution of each bidder.
-
-    With ``with_auctioneer`` the auctioneer is an extra player whose absence
-    zeroes every coalition, which only changes the subset weights for the
-    bidders themselves.
-    """
-    table = coalition_value_table(instance)
-    return PaymentVector(_payoffs_from_table(table, instance.n, with_auctioneer), kind="payoff")
+    return PaymentVector(tuple(payoffs), kind="payoff")
 
 
 def shapley_payments(instance: AuctionInstance, with_auctioneer: bool = False) -> PaymentVector:
     """Accepted-bid value minus the Shapley payoff, computed on reported bids."""
-    allocation = winner_determination(instance)
     payoffs = shapley_payoffs(instance, with_auctioneer)
-    values = tuple(
-        instance.bid_value(i, allocation.bundle_for(i)) - payoffs.for_bidder(i)
-        for i in instance.bidder_ids()
-    )
-    return PaymentVector(values)
+    return PaymentVector(tuple(value - payoff for value, payoff in zip(instance.realized, payoffs)))
 
 
 def auctioneer_payoff(instance: AuctionInstance) -> float:
@@ -143,7 +123,7 @@ def auctioneer_payoff(instance: AuctionInstance) -> float:
     contribution to a bidder set S is the coalitional value of S itself.
     """
     n = instance.n
-    table = coalition_value_table(instance)
+    table = instance.coalition_values
     total = 0.0
     for mask in range(1 << n):
         s = mask.bit_count()
@@ -164,7 +144,7 @@ def shapley_payoffs_by_enumeration(
         raise SizeLimitError(
             f"permutation oracle supports at most {PERMUTATION_ORACLE_MAX_BIDDERS} bidders"
         )
-    table = coalition_value_table(instance)
+    table = instance.coalition_values
     totals = [0.0] * n
     if not with_auctioneer:
         for order in permutations(range(n)):
@@ -196,7 +176,7 @@ def auctioneer_payoff_by_enumeration(instance: AuctionInstance) -> float:
         raise SizeLimitError(
             f"permutation oracle supports at most {PERMUTATION_ORACLE_MAX_BIDDERS} bidders"
         )
-    table = coalition_value_table(instance)
+    table = instance.coalition_values
     total = 0.0
     for order in permutations(range(n + 1)):
         mask = 0

@@ -23,19 +23,12 @@ from .llg import (
     sample_llg_profile,
     sensitivity_fraction,
 )
-from .model import (
-    AuctionInstance,
-    Bid,
-    Bidder,
-    LlgBidProfile,
-    coalition_value_table,
-    winner_determination,
-)
+from .model import AuctionInstance, Bid, Bidder, LlgBidProfile
 from .reference import (
     ReferenceRule,
-    _payoffs_from_table,
     auctioneer_payoff,
     auctioneer_payoff_by_enumeration,
+    reference_point,
     shapley_payoffs,
     shapley_payoffs_by_enumeration,
 )
@@ -59,38 +52,6 @@ class SuiteResult:
         return f"{self.name}: {self.passed}/{self.total} {status}"
 
 
-def engine_reference_pairs(
-    instance: AuctionInstance,
-) -> dict[ReferenceRule, tuple[float, float]]:
-    """Local components (bidders 1 and 2) of all six rules, engine-computed once."""
-    allocation = winner_determination(instance)
-    table = coalition_value_table(instance)
-    n = instance.n
-    full = (1 << n) - 1
-    realized = {i: instance.bid_value(i, allocation.bundle_for(i)) for i in instance.bidder_ids()}
-
-    def vcg_payment(i: int) -> float:
-        others = [j for j in instance.bidder_ids() if j != i]
-        return table[full & ~(1 << (i - 1))] - sum(realized[j] for j in others)
-
-    payoff_no = _payoffs_from_table(table, n, with_auctioneer=False)
-    payoff_with = _payoffs_from_table(table, n, with_auctioneer=True)
-    return {
-        ReferenceRule.FIRST_PRICE: (realized[1], realized[2]),
-        ReferenceRule.VCG: (vcg_payment(1), vcg_payment(2)),
-        ReferenceRule.SHAPLEY_PAYMENT_NO_AUCTIONEER: (
-            realized[1] - payoff_no[0],
-            realized[2] - payoff_no[1],
-        ),
-        ReferenceRule.SHAPLEY_PAYOFF_NO_AUCTIONEER: (payoff_no[0], payoff_no[1]),
-        ReferenceRule.SHAPLEY_PAYMENT_WITH_AUCTIONEER: (
-            realized[1] - payoff_with[0],
-            realized[2] - payoff_with[1],
-        ),
-        ReferenceRule.SHAPLEY_PAYOFF_WITH_AUCTIONEER: (payoff_with[0], payoff_with[1]),
-    }
-
-
 def closed_form_table_suite(samples_per_case: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Closed forms against the exhaustive engine, per rule and case cell."""
     result = SuiteResult("closed-form reference table", 0, 0, True)
@@ -99,10 +60,10 @@ def closed_form_table_suite(samples_per_case: int = 1000, seed: int = DEFAULT_SE
         worst: dict[ReferenceRule, float] = {rule: 0.0 for rule in ReferenceRule}
         for _ in range(samples_per_case):
             profile = sample_llg_profile(rng, case)
-            pairs = engine_reference_pairs(profile.to_instance())
+            instance = profile.to_instance()
             for rule in ReferenceRule:
                 p1, p2 = closed_form_reference(profile, rule)
-                e1, e2 = pairs[rule]
+                e1, e2, _ = reference_point(instance, rule)
                 worst[rule] = max(worst[rule], abs(p1 - e1), abs(p2 - e2))
         for rule in ReferenceRule:
             result.total += 1
@@ -240,8 +201,7 @@ def shapley_axiom_suite(instances: int = 1000, seed: int = DEFAULT_SEED) -> Suit
     efficiency_failures = 0
     for _ in range(instances):
         instance = random_instance(rng)
-        table = coalition_value_table(instance)
-        total_value = table[-1]
+        total_value = instance.coalition_values[-1]
         without = shapley_payoffs(instance, with_auctioneer=False)
         with_a = shapley_payoffs(instance, with_auctioneer=True)
         ok = abs(sum(without.values) - total_value) <= EQUIVALENCE_TOLERANCE
@@ -288,11 +248,10 @@ def projection_suite(samples_per_case: int = 250, seed: int = DEFAULT_SEED) -> S
         for _ in range(samples_per_case):
             profile = sample_llg_profile(rng, case)
             instance = profile.to_instance()
-            pairs = engine_reference_pairs(instance)
-            below = pairs[ReferenceRule.SHAPLEY_PAYMENT_NO_AUCTIONEER]
+            below = reference_point(instance, ReferenceRule.SHAPLEY_PAYMENT_NO_AUCTIONEER)
             checks_ok = below[0] + below[1] <= profile.g + 1e-12
             for rule in ReferenceRule:
-                projected = project_to_mrc(profile, pairs[rule])
+                projected = project_to_mrc(profile, reference_point(instance, rule))
                 checks_ok = checks_ok and not core_violations(instance, projected)
                 checks_ok = checks_ok and abs(
                     projected.values[0] + projected.values[1] - profile.g

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 from hypothesis import strategies as st
 
 from coreselect import AuctionInstance, Bid, Bidder, LlgBidProfile
@@ -39,20 +37,3 @@ def instances(draw, max_bidders: int = 4, max_goods: int = 3) -> AuctionInstance
         bidders.append(Bidder(i, bids))
     return AuctionInstance(goods, tuple(bidders))
 
-
-def random_xor_instance(rng: random.Random, max_bidders: int = 5, max_goods: int = 4) -> AuctionInstance:
-    m = rng.randint(1, max_goods)
-    goods = tuple(f"g{k}" for k in range(1, m + 1))
-    n = rng.randint(1, max_bidders)
-    bidders = []
-    for i in range(1, n + 1):
-        bids = []
-        seen = set()
-        for _ in range(rng.randint(0, 3)):
-            bundle = frozenset(good for good in goods if rng.random() < 0.5)
-            if not bundle or bundle in seen:
-                continue
-            seen.add(bundle)
-            bids.append(Bid(bundle, rng.uniform(0.0, 1.0)))
-        bidders.append(Bidder(i, tuple(bids)))
-    return AuctionInstance(goods, tuple(bidders))

@@ -34,9 +34,8 @@ from coreselect import (
     shapley_payoffs_by_enumeration,
 )
 from coreselect.llg import BoundaryProximityError, check_threshold_table
-from coreselect.reference import ReferenceRule, auctioneer_payoff_by_enumeration
-from coreselect.verify import engine_reference_pairs
-from helpers import random_xor_instance
+from coreselect.reference import ReferenceRule, auctioneer_payoff_by_enumeration, reference_point
+from coreselect.verify import random_instance
 
 SEED = 7
 R = ReferenceRule
@@ -65,10 +64,10 @@ def test_criterion_1_closed_forms_match_engine():
         cell_worst = {rule: 0.0 for rule in R}
         for _ in range(1000):
             profile = sample_llg_profile(rng, case)
-            pairs = engine_reference_pairs(profile.to_instance())
+            instance = profile.to_instance()
             for rule in R:
                 closed = closed_form_reference(profile, rule)
-                engine = pairs[rule]
+                engine = reference_point(instance, rule)
                 deviation = max(abs(closed[0] - engine[0]), abs(closed[1] - engine[1]))
                 cell_worst[rule] = max(cell_worst[rule], deviation)
         for rule in R:
@@ -275,7 +274,7 @@ def test_criterion_5_shapley_axioms():
     rng = random.Random(SEED)
     efficiency_ok = 0
     for _ in range(1000):
-        instance = random_xor_instance(rng, max_bidders=5)
+        instance = random_instance(rng, max_bidders=5)
         total = coalition_value_table(instance)[-1]
         without = sum(shapley_payoffs(instance).values)
         with_a = sum(shapley_payoffs(instance, True).values) + auctioneer_payoff(instance)
@@ -285,7 +284,7 @@ def test_criterion_5_shapley_axioms():
     oracle_ok = 0
     oracle_runs = 40
     for index in range(oracle_runs):
-        instance = random_xor_instance(rng, max_bidders=6 if index % 4 == 0 else 4)
+        instance = random_instance(rng, max_bidders=6 if index % 4 == 0 else 4)
         good = True
         for with_auctioneer in (False, True):
             fast = shapley_payoffs(instance, with_auctioneer)
@@ -315,9 +314,7 @@ def test_criterion_6_shapley_payments_below_minimum_revenue():
     ok = True
     for case_profiles in profiles.values():
         for profile in case_profiles:
-            p1, p2 = engine_reference_pairs(profile.to_instance())[
-                R.SHAPLEY_PAYMENT_NO_AUCTIONEER
-            ]
+            p1, p2, _ = reference_point(profile.to_instance(), R.SHAPLEY_PAYMENT_NO_AUCTIONEER)
             checked += 1
             ok = ok and p1 + p2 <= profile.g + 1e-12
     report(6, ok, f"{checked} locals-win profiles, all with p1 + p2 <= g + 1e-12")
@@ -355,9 +352,8 @@ def test_criterion_8_projection_core_membership_and_region_map():
     for case_profiles in profiles.values():
         for profile in case_profiles:
             instance = profile.to_instance()
-            pairs = engine_reference_pairs(instance)
             for rule in R:
-                projected = project_to_mrc(profile, pairs[rule])
+                projected = project_to_mrc(profile, reference_point(instance, rule))
                 total += 1
                 in_core += not core_violations(instance, projected)
                 revenue_exact += (

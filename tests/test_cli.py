@@ -2,8 +2,35 @@ import json
 
 import pytest
 
-from coreselect import instance_to_json, llg_instance
+from coreselect import (
+    LlgBidProfile,
+    ReferenceRule,
+    core_violations,
+    instance_to_json,
+    llg_instance,
+    project_to_mrc,
+    reference_point,
+    winner_determination,
+)
 from coreselect.cli import main
+
+
+# Full stdout of `verify-table --seed 7 --samples 60`, so any change to a
+# suite's counts or notes shows up here.
+VERIFY_TABLE_SEED_7_SAMPLES_60 = (
+    "closed-form reference table: 24/24 cells passed\n"
+    "sensitivity consistency: 24/24 checks passed\n"
+    "projection derivative oracle: 60/60 checks passed\n"
+    "  vcg derivative values observed: [0.0, 0.5]\n"
+    "region threshold table: 16/16 cells passed\n"
+    "  note: shapley-with-auctioneer local1_strong inequality 2: simplified form 7B < G"
+    " matches direct evaluation only on the a = g boundary (120/1000 sampled profiles differ)\n"
+    "  note: shapley-with-auctioneer local2_strong inequality 1: simplified form 7A < G"
+    " matches direct evaluation only on the b = g boundary (134/1000 sampled profiles differ)\n"
+    "shapley axioms: 120/120 checks passed\n"
+    "minimum-revenue projection: 200/200 checks passed\n"
+    "all suites passed\n"
+)
 
 
 def run(capsys, *argv):
@@ -82,6 +109,21 @@ class TestProjectAndSensitivity:
         code, out, _ = run(capsys, "project", "--llg", "0.4", "0.5", "0.8", "--rule", "vcg")
         assert code == 0
         assert out == "case=locals_weak p1=0.350000 p2=0.450000 p3=0.000000\n"
+
+    def test_project_in_tie_window(self, capsys):
+        # a + b falls short of g by less than the engine's tie tolerance, so
+        # the engine gives both goods to the locals and the projection must too.
+        code, out, _ = run(
+            capsys, "project", "--llg", "0.4", "0.5", "0.9000000000001", "--rule", "vcg"
+        )
+        assert code == 0
+        assert out == "case=locals_weak p1=0.400000 p2=0.500000 p3=0.000000\n"
+        profile = LlgBidProfile(0.4, 0.5, 0.9000000000001)
+        instance = profile.to_instance()
+        assert profile.locals_win()
+        assert winner_determination(instance).winners() == (1, 2)
+        projected = project_to_mrc(profile, reference_point(instance, ReferenceRule.VCG))
+        assert not core_violations(instance, projected)
 
     def test_project_metric_validation(self, capsys):
         code, _, err = run(
@@ -238,6 +280,7 @@ class TestVerifyTable:
         assert code == 0
         assert "closed-form reference table: 24/24 cells passed" in out
         assert "all suites passed" in out
+        assert out == VERIFY_TABLE_SEED_7_SAMPLES_60
 
     def test_deterministic_output(self, capsys):
         outputs = []

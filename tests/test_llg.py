@@ -26,7 +26,7 @@ from coreselect import (
 )
 from coreselect.llg import check_threshold_table
 from coreselect.reference import ReferenceRule as R
-from coreselect.verify import engine_reference_pairs
+from coreselect.reference import reference_point
 from helpers import llg_profiles
 
 TOL = 1e-9
@@ -81,10 +81,11 @@ class TestClosedForms:
         for case in CaseLabel:
             for _ in range(50):
                 profile = sample_llg_profile(rng, case)
-                pairs = engine_reference_pairs(profile.to_instance())
+                instance = profile.to_instance()
                 for rule in R:
                     closed = closed_form_reference(profile, rule)
-                    assert closed == pytest.approx(pairs[rule], abs=TOL)
+                    engine = reference_point(instance, rule)
+                    assert closed == pytest.approx(engine.values[:2], abs=TOL)
 
     def test_boundary_continuity_between_cases(self):
         rng = random.Random(29)

@@ -10,6 +10,7 @@ from coreselect import (
     SizeLimitError,
     auctioneer_payoff,
     coalitional_value,
+    core_violations,
     first_price,
     llg_instance,
     reference_point,
@@ -20,7 +21,8 @@ from coreselect import (
     winner_determination,
 )
 from coreselect.reference import ReferenceRule, auctioneer_payoff_by_enumeration
-from helpers import instances, random_xor_instance
+from coreselect.verify import random_instance
+from helpers import instances
 
 TOL = 1e-9
 
@@ -41,6 +43,11 @@ class TestFirstPrice:
     def test_zero_bids(self):
         approx_vector(first_price(llg_instance(0.0, 0.0, 0.0)).values, (0.0, 0.0, 0.0))
 
+    def test_builds_no_coalition_table(self):
+        instance = llg_instance(0.4, 0.5, 0.8)
+        first_price(instance)
+        assert "coalition_values" not in vars(instance)
+
 
 class TestVcg:
     def test_locals_weak(self):
@@ -55,7 +62,7 @@ class TestVcg:
     def test_losers_pay_nothing(self):
         rng = random.Random(3)
         for _ in range(50):
-            instance = random_xor_instance(rng)
+            instance = random_instance(rng)
             allocation = winner_determination(instance)
             for bidder_id, payment in zip(instance.bidder_ids(), vcg(instance).values):
                 if not allocation.bundle_for(bidder_id):
@@ -177,3 +184,23 @@ class TestDispatch:
             reference_point(instance, ReferenceRule.SHAPLEY_PAYOFF_WITH_AUCTIONEER).values,
             shapley_payoffs(instance, with_auctioneer=True).values,
         )
+
+
+class TestSolvedOnce:
+    @settings(max_examples=60, deadline=None)
+    @given(instance=instances())
+    def test_cached_results_equal_fresh_solve(self, instance):
+        def fresh():
+            return AuctionInstance(instance.goods, instance.bidders)
+
+        expected = {}
+        for rule in ReferenceRule:
+            point = reference_point(fresh(), rule)
+            expected[rule] = (point, core_violations(fresh(), point))
+        for _ in range(2):
+            for rule in ReferenceRule:
+                point = reference_point(instance, rule)
+                assert (point, core_violations(instance, point)) == expected[rule]
+        assert instance == fresh()
+        assert hash(instance) == hash(fresh())
+        assert repr(instance) == repr(fresh())
