@@ -49,15 +49,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_llg(p: argparse.ArgumentParser, required: bool = True) -> None:
+    def add_llg(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--llg",
             nargs=3,
             type=float,
             metavar=("A", "B", "G"),
-            required=required,
+            required=True,
             help="LLG shorthand: local bid 1, local bid 2, global bundle bid",
         )
+
+    def add_llg_or_instance(p: argparse.ArgumentParser) -> None:
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--llg", nargs=3, type=float, metavar=("A", "B", "G"))
+        group.add_argument("--instance", help="path to an instance JSON file")
 
     def add_rule(p: argparse.ArgumentParser) -> None:
         p.add_argument("--rule", choices=_RULE_CHOICES, required=True, help="reference rule")
@@ -66,9 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     p = sub.add_parser("payments", help="reference payment/payoff vector for a profile")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--llg", nargs=3, type=float, metavar=("A", "B", "G"))
-    group.add_argument("--instance", help="path to an instance JSON file")
+    add_llg_or_instance(p)
     add_rule(p)
     add_out(p)
 
@@ -102,9 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_out(p)
 
     p = sub.add_parser("core-check", help="check a payment vector against the core constraints")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--llg", nargs=3, type=float, metavar=("A", "B", "G"))
-    group.add_argument("--instance", help="path to an instance JSON file")
+    add_llg_or_instance(p)
     p.add_argument(
         "--payments", nargs="+", type=float, required=True, help="one payment per bidder"
     )
@@ -244,14 +245,10 @@ def _cmd_region_map(args: argparse.Namespace) -> int:
 def _cmd_verify_table(args: argparse.Namespace) -> int:
     results = run_all(samples_per_case=args.samples, seed=args.seed)
     lines = []
-    all_ok = True
     for result in results:
-        unit = "cells" if "table" in result.name else "checks"
-        lines.append(f"{result.name}: {result.passed}/{result.total} {unit} passed"
-                     if result.ok else f"{result.name}: {result.passed}/{result.total} {unit} FAILED")
-        for note in result.notes:
-            lines.append(f"  {note}")
-        all_ok = all_ok and result.ok
+        lines.append(result.summary())
+        lines.extend(f"  {note}" for note in result.notes)
+    all_ok = all(result.ok for result in results)
     lines.append("all suites passed" if all_ok else "verification FAILED")
     _write(args, "\n".join(lines) + "\n")
     return 0 if all_ok else 1

@@ -63,7 +63,7 @@ class MrcSegment:
 
 
 def _payment_values(payments: PaymentVector | Sequence[float], n: int) -> tuple[float, ...]:
-    values = tuple(payments.values if isinstance(payments, PaymentVector) else payments)
+    values = tuple(payments)
     if len(values) != n:
         raise ValueError(f"payment vector has {len(values)} entries, expected {n}")
     return values
@@ -146,7 +146,7 @@ def project_to_mrc(
     """
     if c <= 1:
         raise ValueError(f"metric exponent must be > 1, got {c}")
-    values = tuple(reference.values if isinstance(reference, PaymentVector) else reference)
+    values = tuple(reference)
     if len(values) < 2:
         raise ValueError("reference must cover the two local bidders")
     segment = llg_mrc_segment(profile)

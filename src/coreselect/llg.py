@@ -343,15 +343,16 @@ def region_map_to_csv(grid: RegionMap) -> str:
     sensitivity columns.
     """
     lines = ["A,B,case,region,derivative,sensitivity"]
+    # The global bidder wins only where a + b < g, so both local bids are below g.
+    global_row = f"{CaseLabel.LOCALS_WEAK.value},{Region.GLOBAL_WINNER.value},,"
     for i, a in enumerate(grid.a_values):
         for j, b in enumerate(grid.b_values):
-            case = classify_case(LlgBidProfile(a, b, grid.g)).value
             cell = grid.cells[i][j]
             if cell is None:
-                lines.append(f"{a!r},{b!r},{case},{Region.GLOBAL_WINNER.value},,")
+                lines.append(f"{a!r},{b!r},{global_row}")
             else:
                 lines.append(
-                    f"{a!r},{b!r},{case},{cell.region.value},"
+                    f"{a!r},{b!r},{cell.case.value},{cell.region.value},"
                     f"{cell.derivative!r},{cell.sensitivity!r}"
                 )
     return "\n".join(lines) + "\n"
@@ -382,20 +383,24 @@ _Threshold = Callable[[float, float, float], bool] | None
 class ThresholdCell:
     """One entry of the per-case threshold table for the region inequalities.
 
-    ``stated`` is the simplified per-case condition as tabulated; ``exact``
-    is the condition algebraically equivalent to direct evaluation of the
-    inequality on the closed forms. They coincide except for the two
-    with-auctioneer strong-case cells, where the simplified form drops the
-    other local's bid and holds only on the case boundary. None means the
-    inequality never holds in the case.
+    ``exact`` is the condition algebraically equivalent to direct evaluation
+    of the inequality on the closed forms; None means the inequality never
+    holds in the case. Only the two with-auctioneer strong-case cells carry a
+    ``simplified`` form, the paper's, which drops the other local's bid and
+    holds only on the case boundary that ``note`` names.
     """
 
     rule: ReferenceRule
     case: CaseLabel
     inequality: int  # 1 = first inequality (upper pin), 2 = second (lower pin)
-    stated: _Threshold
     exact: _Threshold
+    simplified: _Threshold = None
     note: str = ""
+
+    @property
+    def stated(self) -> _Threshold:
+        """The condition as tabulated: the simplified form where there is one."""
+        return self.exact if self.simplified is None else self.simplified
 
 
 THRESHOLD_TABLE: tuple[ThresholdCell, ...] = (
@@ -404,38 +409,27 @@ THRESHOLD_TABLE: tuple[ThresholdCell, ...] = (
         CaseLabel.LOCALS_WEAK,
         1,
         lambda a, b, g: 3 * a + b < 2 * g,
-        lambda a, b, g: 3 * a + b < 2 * g,
     ),
     ThresholdCell(
         _R.SHAPLEY_PAYMENT_NO_AUCTIONEER,
         CaseLabel.LOCALS_WEAK,
         2,
         lambda a, b, g: a + 3 * b < 2 * g,
-        lambda a, b, g: a + 3 * b < 2 * g,
     ),
-    ThresholdCell(_R.SHAPLEY_PAYMENT_NO_AUCTIONEER, CaseLabel.LOCAL1_STRONG, 1, None, None),
+    ThresholdCell(_R.SHAPLEY_PAYMENT_NO_AUCTIONEER, CaseLabel.LOCAL1_STRONG, 1, None),
     ThresholdCell(
-        _R.SHAPLEY_PAYMENT_NO_AUCTIONEER,
-        CaseLabel.LOCAL1_STRONG,
-        2,
-        lambda a, b, g: 3 * b < g,
-        lambda a, b, g: 3 * b < g,
+        _R.SHAPLEY_PAYMENT_NO_AUCTIONEER, CaseLabel.LOCAL1_STRONG, 2, lambda a, b, g: 3 * b < g
     ),
     ThresholdCell(
-        _R.SHAPLEY_PAYMENT_NO_AUCTIONEER,
-        CaseLabel.LOCAL2_STRONG,
-        1,
-        lambda a, b, g: 3 * a < g,
-        lambda a, b, g: 3 * a < g,
+        _R.SHAPLEY_PAYMENT_NO_AUCTIONEER, CaseLabel.LOCAL2_STRONG, 1, lambda a, b, g: 3 * a < g
     ),
-    ThresholdCell(_R.SHAPLEY_PAYMENT_NO_AUCTIONEER, CaseLabel.LOCAL2_STRONG, 2, None, None),
-    ThresholdCell(_R.SHAPLEY_PAYMENT_NO_AUCTIONEER, CaseLabel.LOCALS_STRONG, 1, None, None),
-    ThresholdCell(_R.SHAPLEY_PAYMENT_NO_AUCTIONEER, CaseLabel.LOCALS_STRONG, 2, None, None),
+    ThresholdCell(_R.SHAPLEY_PAYMENT_NO_AUCTIONEER, CaseLabel.LOCAL2_STRONG, 2, None),
+    ThresholdCell(_R.SHAPLEY_PAYMENT_NO_AUCTIONEER, CaseLabel.LOCALS_STRONG, 1, None),
+    ThresholdCell(_R.SHAPLEY_PAYMENT_NO_AUCTIONEER, CaseLabel.LOCALS_STRONG, 2, None),
     ThresholdCell(
         _R.SHAPLEY_PAYMENT_WITH_AUCTIONEER,
         CaseLabel.LOCALS_WEAK,
         1,
-        lambda a, b, g: 7 * a + 5 * b < 6 * g,
         lambda a, b, g: 7 * a + 5 * b < 6 * g,
     ),
     ThresholdCell(
@@ -443,28 +437,27 @@ THRESHOLD_TABLE: tuple[ThresholdCell, ...] = (
         CaseLabel.LOCALS_WEAK,
         2,
         lambda a, b, g: 5 * a + 7 * b < 6 * g,
-        lambda a, b, g: 5 * a + 7 * b < 6 * g,
     ),
-    ThresholdCell(_R.SHAPLEY_PAYMENT_WITH_AUCTIONEER, CaseLabel.LOCAL1_STRONG, 1, None, None),
+    ThresholdCell(_R.SHAPLEY_PAYMENT_WITH_AUCTIONEER, CaseLabel.LOCAL1_STRONG, 1, None),
     ThresholdCell(
         _R.SHAPLEY_PAYMENT_WITH_AUCTIONEER,
         CaseLabel.LOCAL1_STRONG,
         2,
-        lambda a, b, g: 7 * b < g,
         lambda a, b, g: 3 * a + 7 * b < 4 * g,
+        simplified=lambda a, b, g: 7 * b < g,
         note="simplified form 7B < G matches direct evaluation only on the a = g boundary",
     ),
     ThresholdCell(
         _R.SHAPLEY_PAYMENT_WITH_AUCTIONEER,
         CaseLabel.LOCAL2_STRONG,
         1,
-        lambda a, b, g: 7 * a < g,
         lambda a, b, g: 7 * a + 3 * b < 4 * g,
+        simplified=lambda a, b, g: 7 * a < g,
         note="simplified form 7A < G matches direct evaluation only on the b = g boundary",
     ),
-    ThresholdCell(_R.SHAPLEY_PAYMENT_WITH_AUCTIONEER, CaseLabel.LOCAL2_STRONG, 2, None, None),
-    ThresholdCell(_R.SHAPLEY_PAYMENT_WITH_AUCTIONEER, CaseLabel.LOCALS_STRONG, 1, None, None),
-    ThresholdCell(_R.SHAPLEY_PAYMENT_WITH_AUCTIONEER, CaseLabel.LOCALS_STRONG, 2, None, None),
+    ThresholdCell(_R.SHAPLEY_PAYMENT_WITH_AUCTIONEER, CaseLabel.LOCAL2_STRONG, 2, None),
+    ThresholdCell(_R.SHAPLEY_PAYMENT_WITH_AUCTIONEER, CaseLabel.LOCALS_STRONG, 1, None),
+    ThresholdCell(_R.SHAPLEY_PAYMENT_WITH_AUCTIONEER, CaseLabel.LOCALS_STRONG, 2, None),
 )
 
 

@@ -30,10 +30,6 @@ class ReferenceRule(Enum):
     SHAPLEY_PAYOFF_WITH_AUCTIONEER = "shapley-payoff-with-auctioneer"
 
     @property
-    def is_shapley(self) -> bool:
-        return self.value.startswith("shapley")
-
-    @property
     def is_payoff(self) -> bool:
         return "payoff" in self.value
 

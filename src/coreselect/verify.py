@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .core import core_violations, project_to_mrc
 from .llg import (
@@ -41,20 +42,41 @@ DERIVATIVE_TOLERANCE = 1e-6
 
 @dataclass
 class SuiteResult:
+    """Pass/fail tally of one suite; ``unit`` names what its checks count."""
+
     name: str
-    passed: int
-    total: int
-    ok: bool
+    unit: str = "checks"
+    passed: int = 0
+    total: int = 0
+    ok: bool = True
     notes: list[str] = field(default_factory=list)
+
+    def check(self, passed: bool, note: Callable[[], str] | None = None) -> None:
+        """Count one check; a failed one fails the suite and keeps its note.
+
+        The note is built only on failure, so it may read values that exist
+        only then.
+        """
+        self.total += 1
+        if passed:
+            self.passed += 1
+        else:
+            self.fail(note() if note else None)
+
+    def fail(self, note: str | None) -> None:
+        """Fail the suite without counting a check, keeping the note if given."""
+        self.ok = False
+        if note:
+            self.notes.append(note)
 
     def summary(self) -> str:
         status = "passed" if self.ok else "FAILED"
-        return f"{self.name}: {self.passed}/{self.total} {status}"
+        return f"{self.name}: {self.passed}/{self.total} {self.unit} {status}"
 
 
 def closed_form_table_suite(samples_per_case: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Closed forms against the exhaustive engine, per rule and case cell."""
-    result = SuiteResult("closed-form reference table", 0, 0, True)
+    result = SuiteResult("closed-form reference table", "cells")
     for case_index, case in enumerate(CaseLabel):
         rng = random.Random(seed + case_index)
         worst: dict[ReferenceRule, float] = {rule: 0.0 for rule in ReferenceRule}
@@ -66,25 +88,20 @@ def closed_form_table_suite(samples_per_case: int = 1000, seed: int = DEFAULT_SE
                 e1, e2, _ = reference_point(instance, rule)
                 worst[rule] = max(worst[rule], abs(p1 - e1), abs(p2 - e2))
         for rule in ReferenceRule:
-            result.total += 1
-            if worst[rule] <= EQUIVALENCE_TOLERANCE:
-                result.passed += 1
-            else:
-                result.ok = False
-                result.notes.append(
-                    f"{rule.value} in {case.value}: max deviation {worst[rule]:.3e}"
-                )
+            result.check(
+                worst[rule] <= EQUIVALENCE_TOLERANCE,
+                lambda: f"{rule.value} in {case.value}: max deviation {worst[rule]:.3e}",
+            )
     return result
 
 
 def sensitivity_consistency_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
     """Tabulated sensitivities against central differences of the closed forms."""
-    result = SuiteResult("sensitivity consistency", 0, 0, True)
+    result = SuiteResult("sensitivity consistency")
     rng = random.Random(seed)
     h = 1e-6
     for case in CaseLabel:
         for rule in ReferenceRule:
-            result.total += 1
             worst = 0.0
             for _ in range(20):
                 profile = sample_llg_profile(rng, case)
@@ -95,17 +112,16 @@ def sensitivity_consistency_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
                 down = closed_form_for_case(case, LlgBidProfile(profile.a - h, profile.b, profile.g), rule)
                 estimate = ((up[0] - down[0]) - (up[1] - down[1])) / (2 * h)
                 worst = max(worst, abs(estimate - float(sensitivity_fraction(case, rule))))
-            if worst <= DERIVATIVE_TOLERANCE:
-                result.passed += 1
-            else:
-                result.ok = False
-                result.notes.append(f"{rule.value} in {case.value}: deviation {worst:.3e}")
+            result.check(
+                worst <= DERIVATIVE_TOLERANCE,
+                lambda: f"{rule.value} in {case.value}: deviation {worst:.3e}",
+            )
     return result
 
 
 def derivative_oracle_suite(samples: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Analytic projection derivative against the finite-difference pipeline."""
-    result = SuiteResult("projection derivative oracle", 0, 0, True)
+    result = SuiteResult("projection derivative oracle")
     rng = random.Random(seed)
     rules = tuple(ReferenceRule)
     cases = tuple(CaseLabel)
@@ -120,57 +136,41 @@ def derivative_oracle_suite(samples: int = 1000, seed: int = DEFAULT_SEED) -> Su
         except BoundaryProximityError:
             continue
         collected += 1
-        result.total += 1
         report = projection_derivative(profile, rule)
         if rule is ReferenceRule.VCG:
             vcg_values.add(round(report.derivative, 9))
-        if abs(report.derivative - numeric) <= DERIVATIVE_TOLERANCE:
-            result.passed += 1
-        else:
-            result.ok = False
-            result.notes.append(
-                f"{rule.value} at (a={profile.a:.6f}, b={profile.b:.6f}, g={profile.g}): "
-                f"analytic {report.derivative} vs numeric {numeric:.8f} ({report.region.value})"
-            )
-    if not vcg_values <= {0.0, 0.5}:
-        result.ok = False
-        result.notes.append(f"vcg derivatives outside {{0, 1/2}}: {sorted(vcg_values)}")
-    else:
+        result.check(
+            abs(report.derivative - numeric) <= DERIVATIVE_TOLERANCE,
+            lambda: f"{rule.value} at (a={profile.a:.6f}, b={profile.b:.6f}, g={profile.g}): "
+            f"analytic {report.derivative} vs numeric {numeric:.8f} ({report.region.value})",
+        )
+    if vcg_values <= {0.0, 0.5}:
         result.notes.append(f"vcg derivative values observed: {sorted(vcg_values)}")
+    else:
+        result.fail(f"vcg derivatives outside {{0, 1/2}}: {sorted(vcg_values)}")
     return result
 
 
 def threshold_table_suite(samples_per_case: int = 2500, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Per-case pin thresholds against direct inequality evaluation.
 
-    The suite passes on the exact thresholds; cells whose simplified form
-    differs are reported as notes with their mismatch counts.
+    The suite passes on the exact thresholds; cells with a simplified form
+    that differs are reported as notes with their mismatch counts.
     """
-    result = SuiteResult("region threshold table", 0, 0, True)
+    result = SuiteResult("region threshold table", "cells")
     for check in check_threshold_table(samples_per_case, seed):
-        result.total += 1
-        if check.exact_mismatches == 0:
-            result.passed += 1
-        else:
-            result.ok = False
-            example = check.exact_example
+        cell, example = check.cell, check.exact_example
+        result.check(
+            check.exact_mismatches == 0,
+            lambda: f"exact threshold failed: {cell.rule.value} {cell.case.value} "
+            f"inequality {cell.inequality} "
+            f"({check.exact_mismatches}/{check.checked}, e.g. a={example.a:.4f} b={example.b:.4f})",
+        )
+        if check.stated_mismatches and cell.note:
             result.notes.append(
-                f"exact threshold failed: {check.cell.rule.value} {check.cell.case.value} "
-                f"inequality {check.cell.inequality} "
-                f"({check.exact_mismatches}/{check.checked}, e.g. a={example.a:.4f} b={example.b:.4f})"
-            )
-        if check.stated_mismatches and check.cell.note:
-            result.notes.append(
-                f"note: {check.cell.rule.value} {check.cell.case.value} inequality "
-                f"{check.cell.inequality}: {check.cell.note} "
+                f"note: {cell.rule.value} {cell.case.value} inequality "
+                f"{cell.inequality}: {cell.note} "
                 f"({check.stated_mismatches}/{check.checked} sampled profiles differ)"
-            )
-        elif check.stated_mismatches:
-            result.ok = False
-            result.notes.append(
-                f"stated threshold failed unexpectedly: {check.cell.rule.value} "
-                f"{check.cell.case.value} inequality {check.cell.inequality} "
-                f"({check.stated_mismatches}/{check.checked})"
             )
     return result
 
@@ -196,7 +196,7 @@ def random_instance(rng: random.Random, max_bidders: int = 5, max_goods: int = 4
 
 def shapley_axiom_suite(instances: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Efficiency of both payoff variants plus the arrival-order cross-check."""
-    result = SuiteResult("shapley axioms", 0, 0, True)
+    result = SuiteResult("shapley axioms")
     rng = random.Random(seed)
     efficiency_failures = 0
     for _ in range(instances):
@@ -206,13 +206,9 @@ def shapley_axiom_suite(instances: int = 1000, seed: int = DEFAULT_SEED) -> Suit
         with_a = shapley_payoffs(instance, with_auctioneer=True)
         ok = abs(sum(without.values) - total_value) <= EQUIVALENCE_TOLERANCE
         ok = ok and abs(sum(with_a.values) + auctioneer_payoff(instance) - total_value) <= EQUIVALENCE_TOLERANCE
-        result.total += 1
-        if ok:
-            result.passed += 1
-        else:
-            efficiency_failures += 1
+        result.check(ok)
+        efficiency_failures += not ok
     if efficiency_failures:
-        result.ok = False
         result.notes.append(f"efficiency failed on {efficiency_failures} instances")
 
     oracle_failures = 0
@@ -229,20 +225,16 @@ def shapley_axiom_suite(instances: int = 1000, seed: int = DEFAULT_SEED) -> Suit
         ok = ok and abs(
             auctioneer_payoff(instance) - auctioneer_payoff_by_enumeration(instance)
         ) <= EQUIVALENCE_TOLERANCE
-        result.total += 1
-        if ok:
-            result.passed += 1
-        else:
-            oracle_failures += 1
+        result.check(ok)
+        oracle_failures += not ok
     if oracle_failures:
-        result.ok = False
         result.notes.append(f"arrival-order oracle disagreed on {oracle_failures} instances")
     return result
 
 
 def projection_suite(samples_per_case: int = 250, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Projection outputs against the raw core constraints and segment identities."""
-    result = SuiteResult("minimum-revenue projection", 0, 0, True)
+    result = SuiteResult("minimum-revenue projection")
     rng = random.Random(seed)
     for case in CaseLabel:
         for _ in range(samples_per_case):
@@ -258,14 +250,10 @@ def projection_suite(samples_per_case: int = 250, seed: int = DEFAULT_SEED) -> S
                 ) <= 1e-12
                 again = project_to_mrc(profile, projected)
                 checks_ok = checks_ok and abs(again.values[0] - projected.values[0]) <= 1e-12
-            result.total += 1
-            if checks_ok:
-                result.passed += 1
-            else:
-                result.ok = False
-                result.notes.append(
-                    f"projection properties failed at (a={profile.a:.6f}, b={profile.b:.6f})"
-                )
+            result.check(
+                checks_ok,
+                lambda: f"projection properties failed at (a={profile.a:.6f}, b={profile.b:.6f})",
+            )
     return result
 
 

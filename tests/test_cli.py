@@ -274,6 +274,185 @@ class TestCoreCheck:
         assert "error" in err
 
 
+# Full stdout of `verify-table --seed 7 --samples 60` with both tolerances set
+# to -1, so every check that compares against them fails: each failed check's
+# note, the suite-level notes, and the two suites that use neither tolerance.
+VERIFY_TABLE_FAILURE_SEED_7_SAMPLES_60 = (
+    "closed-form reference table: 0/24 cells FAILED\n"
+    "  first-price in locals_weak: max deviation 0.000e+00\n"
+    "  vcg in locals_weak: max deviation 0.000e+00\n"
+    "  shapley-no-auctioneer in locals_weak: max deviation 1.665e-16\n"
+    "  shapley-payoff-no-auctioneer in locals_weak: max deviation 2.220e-16\n"
+    "  shapley-with-auctioneer in locals_weak: max deviation 1.110e-16\n"
+    "  shapley-payoff-with-auctioneer in locals_weak: max deviation 1.110e-16\n"
+    "  first-price in local1_strong: max deviation 0.000e+00\n"
+    "  vcg in local1_strong: max deviation 0.000e+00\n"
+    "  shapley-no-auctioneer in local1_strong: max deviation 3.331e-16\n"
+    "  shapley-payoff-no-auctioneer in local1_strong: max deviation 4.441e-16\n"
+    "  shapley-with-auctioneer in local1_strong: max deviation 2.220e-16\n"
+    "  shapley-payoff-with-auctioneer in local1_strong: max deviation 2.220e-16\n"
+    "  first-price in local2_strong: max deviation 0.000e+00\n"
+    "  vcg in local2_strong: max deviation 0.000e+00\n"
+    "  shapley-no-auctioneer in local2_strong: max deviation 2.776e-16\n"
+    "  shapley-payoff-no-auctioneer in local2_strong: max deviation 2.220e-16\n"
+    "  shapley-with-auctioneer in local2_strong: max deviation 2.220e-16\n"
+    "  shapley-payoff-with-auctioneer in local2_strong: max deviation 2.220e-16\n"
+    "  first-price in locals_strong: max deviation 0.000e+00\n"
+    "  vcg in locals_strong: max deviation 0.000e+00\n"
+    "  shapley-no-auctioneer in locals_strong: max deviation 3.053e-16\n"
+    "  shapley-payoff-no-auctioneer in locals_strong: max deviation 3.331e-16\n"
+    "  shapley-with-auctioneer in locals_strong: max deviation 2.220e-16\n"
+    "  shapley-payoff-with-auctioneer in locals_strong: max deviation 1.110e-16\n"
+    "sensitivity consistency: 0/24 checks FAILED\n"
+    "  first-price in locals_weak: deviation 2.876e-11\n"
+    "  vcg in locals_weak: deviation 8.227e-11\n"
+    "  shapley-no-auctioneer in locals_weak: deviation 4.213e-11\n"
+    "  shapley-payoff-no-auctioneer in locals_weak: deviation 6.989e-11\n"
+    "  shapley-with-auctioneer in locals_weak: deviation 8.873e-11\n"
+    "  shapley-payoff-with-auctioneer in locals_weak: deviation 5.105e-11\n"
+    "  first-price in local1_strong: deviation 8.227e-11\n"
+    "  vcg in local1_strong: deviation 0.000e+00\n"
+    "  shapley-no-auctioneer in local1_strong: deviation 0.000e+00\n"
+    "  shapley-payoff-no-auctioneer in local1_strong: deviation 8.227e-11\n"
+    "  shapley-with-auctioneer in local1_strong: deviation 4.113e-11\n"
+    "  shapley-payoff-with-auctioneer in local1_strong: deviation 6.989e-11\n"
+    "  first-price in local2_strong: deviation 2.876e-11\n"
+    "  vcg in local2_strong: deviation 8.227e-11\n"
+    "  shapley-no-auctioneer in local2_strong: deviation 5.601e-11\n"
+    "  shapley-payoff-no-auctioneer in local2_strong: deviation 1.254e-10\n"
+    "  shapley-with-auctioneer in local2_strong: deviation 1.165e-10\n"
+    "  shapley-payoff-with-auctioneer in local2_strong: deviation 6.493e-11\n"
+    "  first-price in locals_strong: deviation 8.227e-11\n"
+    "  vcg in locals_strong: deviation 0.000e+00\n"
+    "  shapley-no-auctioneer in locals_strong: deviation 0.000e+00\n"
+    "  shapley-payoff-no-auctioneer in locals_strong: deviation 8.227e-11\n"
+    "  shapley-with-auctioneer in locals_strong: deviation 4.113e-11\n"
+    "  shapley-payoff-with-auctioneer in locals_strong: deviation 4.113e-11\n"
+    "projection derivative oracle: 0/60 checks FAILED\n"
+    "  first-price at (a=1.613215, b=1.267134, g=1.0): analytic 0.5 vs numeric 0.50000000 "
+    "(interior)\n"
+    "  vcg at (a=1.866562, b=0.006435, g=1.0): analytic 0.0 vs numeric 0.00000000 (interior)\n"
+    "  shapley-no-auctioneer at (a=1.898298, b=1.080815, g=1.0): analytic 0.0 vs numeric "
+    "-0.00000000 (interior)\n"
+    "  shapley-payoff-no-auctioneer at (a=0.946215, b=0.951271, g=1.0): analytic 0.25 vs numeric "
+    "0.25000000 (interior)\n"
+    "  shapley-with-auctioneer at (a=1.157157, b=1.238012, g=1.0): analytic 0.25 vs numeric "
+    "0.25000000 (interior)\n"
+    "  shapley-payoff-with-auctioneer at (a=0.132426, b=0.871725, g=1.0): analytic 1.0 vs numeric "
+    "1.00000000 (ir1_binding)\n"
+    "  first-price at (a=0.774209, b=0.383665, g=1.0): analytic 0.5 vs numeric 0.50000000 "
+    "(interior)\n"
+    "  vcg at (a=0.918955, b=0.204960, g=1.0): analytic 0.5 vs numeric 0.50000000 (interior)\n"
+    "  shapley-no-auctioneer at (a=1.725706, b=0.421755, g=1.0): analytic 0.0 vs numeric "
+    "-0.00000000 (interior)\n"
+    "  shapley-payoff-no-auctioneer at (a=0.772580, b=0.911379, g=1.0): analytic 0.25 vs numeric "
+    "0.25000000 (interior)\n"
+    "  shapley-with-auctioneer at (a=1.281184, b=1.809511, g=1.0): analytic 0.25 vs numeric "
+    "0.25000000 (interior)\n"
+    "  shapley-payoff-with-auctioneer at (a=1.708801, b=0.005272, g=1.0): analytic 0.0 vs numeric "
+    "0.00000000 (ir2_binding)\n"
+    "  first-price at (a=1.054789, b=1.378816, g=1.0): analytic 0.5 vs numeric 0.50000000 "
+    "(interior)\n"
+    "  vcg at (a=1.139143, b=1.236733, g=1.0): analytic 0.0 vs numeric 0.00000000 (interior)\n"
+    "  shapley-no-auctioneer at (a=0.852196, b=0.330217, g=1.0): analytic 0.0 vs numeric "
+    "0.00000000 (ir2_binding)\n"
+    "  shapley-payoff-no-auctioneer at (a=0.133183, b=0.917657, g=1.0): analytic 1.0 vs numeric "
+    "1.00000000 (ir1_binding)\n"
+    "  shapley-with-auctioneer at (a=0.572978, b=0.537588, g=1.0): analytic 0.4166666666666667 vs "
+    "numeric 0.41666667 (interior)\n"
+    "  shapley-payoff-with-auctioneer at (a=1.420107, b=0.398135, g=1.0): analytic 0.25 vs "
+    "numeric 0.25000000 (interior)\n"
+    "  first-price at (a=0.939715, b=0.719635, g=1.0): analytic 0.5 vs numeric 0.50000000 "
+    "(interior)\n"
+    "  vcg at (a=0.268311, b=0.994884, g=1.0): analytic 0.5 vs numeric 0.50000000 (interior)\n"
+    "  shapley-no-auctioneer at (a=0.950923, b=0.236786, g=1.0): analytic 0.0 vs numeric "
+    "0.00000000 (ir2_binding)\n"
+    "  shapley-payoff-no-auctioneer at (a=0.735996, b=0.845666, g=1.0): analytic 0.25 vs numeric "
+    "0.25000000 (interior)\n"
+    "  shapley-with-auctioneer at (a=0.881709, b=0.365568, g=1.0): analytic 0.4166666666666667 vs "
+    "numeric 0.41666667 (interior)\n"
+    "  shapley-payoff-with-auctioneer at (a=1.402170, b=0.986072, g=1.0): analytic 0.25 vs "
+    "numeric 0.25000000 (interior)\n"
+    "  first-price at (a=0.814699, b=0.307154, g=1.0): analytic 0.5 vs numeric 0.50000000 "
+    "(interior)\n"
+    "  vcg at (a=0.103069, b=1.784099, g=1.0): analytic 0.5 vs numeric 0.50000000 (interior)\n"
+    "  shapley-no-auctioneer at (a=0.777783, b=0.566026, g=1.0): analytic 0.25 vs numeric "
+    "0.25000000 (interior)\n"
+    "  shapley-payoff-no-auctioneer at (a=0.964075, b=0.400904, g=1.0): analytic 0.25 vs numeric "
+    "0.25000000 (interior)\n"
+    "  shapley-with-auctioneer at (a=0.955841, b=1.560464, g=1.0): analytic 0.4166666666666667 vs "
+    "numeric 0.41666667 (interior)\n"
+    "  shapley-payoff-with-auctioneer at (a=1.667505, b=0.171060, g=1.0): analytic 0.0 vs numeric "
+    "0.00000000 (ir2_binding)\n"
+    "  first-price at (a=0.029374, b=1.939471, g=1.0): analytic 0.0 vs numeric 0.00000000 "
+    "(nonneg_binding)\n"
+    "  vcg at (a=1.262961, b=0.164215, g=1.0): analytic 0.0 vs numeric 0.00000000 (interior)\n"
+    "  shapley-no-auctioneer at (a=0.388879, b=0.611549, g=1.0): analytic 1.0 vs numeric "
+    "1.00000000 (ir1_binding)\n"
+    "  shapley-payoff-no-auctioneer at (a=0.285010, b=1.480917, g=1.0): analytic 0.25 vs numeric "
+    "0.25000000 (interior)\n"
+    "  shapley-with-auctioneer at (a=0.137300, b=1.086588, g=1.0): analytic 0.4166666666666667 vs "
+    "numeric 0.41666667 (interior)\n"
+    "  shapley-payoff-with-auctioneer at (a=0.695988, b=1.065597, g=1.0): analytic "
+    "0.08333333333333333 vs numeric 0.08333333 (interior)\n"
+    "  first-price at (a=1.142521, b=1.561925, g=1.0): analytic 0.5 vs numeric 0.50000000 "
+    "(interior)\n"
+    "  vcg at (a=1.588173, b=1.802745, g=1.0): analytic 0.0 vs numeric 0.00000000 (interior)\n"
+    "  shapley-no-auctioneer at (a=0.771705, b=1.880256, g=1.0): analytic 0.25 vs numeric "
+    "0.25000000 (interior)\n"
+    "  shapley-payoff-no-auctioneer at (a=1.348871, b=1.923189, g=1.0): analytic 0.5 vs numeric "
+    "0.50000000 (interior)\n"
+    "  shapley-with-auctioneer at (a=0.528838, b=1.173329, g=1.0): analytic 0.4166666666666667 vs "
+    "numeric 0.41666667 (interior)\n"
+    "  shapley-payoff-with-auctioneer at (a=0.859109, b=0.202894, g=1.0): analytic 0.0 vs numeric "
+    "0.00000000 (ir2_binding)\n"
+    "  first-price at (a=1.456698, b=1.559245, g=1.0): analytic 0.5 vs numeric 0.50000000 "
+    "(interior)\n"
+    "  vcg at (a=1.083197, b=1.548620, g=1.0): analytic 0.0 vs numeric 0.00000000 (interior)\n"
+    "  shapley-no-auctioneer at (a=0.535430, b=1.941287, g=1.0): analytic 0.25 vs numeric "
+    "0.25000000 (interior)\n"
+    "  shapley-payoff-no-auctioneer at (a=0.581017, b=0.585266, g=1.0): analytic 0.25 vs numeric "
+    "0.25000000 (interior)\n"
+    "  shapley-with-auctioneer at (a=1.544354, b=1.523495, g=1.0): analytic 0.25 vs numeric "
+    "0.25000000 (interior)\n"
+    "  shapley-payoff-with-auctioneer at (a=0.877424, b=0.573875, g=1.0): analytic "
+    "0.08333333333333333 vs numeric 0.08333333 (interior)\n"
+    "  first-price at (a=0.064319, b=1.224292, g=1.0): analytic 0.0 vs numeric 0.00000000 "
+    "(nonneg_binding)\n"
+    "  vcg at (a=1.103210, b=0.699521, g=1.0): analytic 0.0 vs numeric 0.00000000 (interior)\n"
+    "  shapley-no-auctioneer at (a=1.060447, b=1.888897, g=1.0): analytic 0.0 vs numeric "
+    "0.00000000 (interior)\n"
+    "  shapley-payoff-no-auctioneer at (a=0.371230, b=0.962527, g=1.0): analytic 0.25 vs numeric "
+    "0.25000000 (interior)\n"
+    "  shapley-with-auctioneer at (a=1.875849, b=1.035999, g=1.0): analytic 0.25 vs numeric "
+    "0.25000000 (interior)\n"
+    "  shapley-payoff-with-auctioneer at (a=0.613274, b=0.678056, g=1.0): analytic "
+    "0.08333333333333333 vs numeric 0.08333333 (interior)\n"
+    "  first-price at (a=1.588557, b=1.080737, g=1.0): analytic 0.5 vs numeric 0.50000000 "
+    "(interior)\n"
+    "  vcg at (a=0.470242, b=0.535569, g=1.0): analytic 0.5 vs numeric 0.50000000 (interior)\n"
+    "  shapley-no-auctioneer at (a=0.892689, b=0.671237, g=1.0): analytic 0.25 vs numeric "
+    "0.25000000 (interior)\n"
+    "  shapley-payoff-no-auctioneer at (a=1.779985, b=1.192163, g=1.0): analytic 0.5 vs numeric "
+    "0.50000000 (interior)\n"
+    "  shapley-with-auctioneer at (a=1.108775, b=0.052731, g=1.0): analytic 0.0 vs numeric "
+    "0.00000000 (ir2_binding)\n"
+    "  shapley-payoff-with-auctioneer at (a=0.938131, b=0.976193, g=1.0): analytic "
+    "0.08333333333333333 vs numeric 0.08333333 (interior)\n"
+    "  vcg derivative values observed: [0.0, 0.5]\n"
+    "region threshold table: 16/16 cells passed\n"
+    "  note: shapley-with-auctioneer local1_strong inequality 2: simplified form 7B < G matches "
+    "direct evaluation only on the a = g boundary (120/1000 sampled profiles differ)\n"
+    "  note: shapley-with-auctioneer local2_strong inequality 1: simplified form 7A < G matches "
+    "direct evaluation only on the b = g boundary (134/1000 sampled profiles differ)\n"
+    "shapley axioms: 0/120 checks FAILED\n"
+    "  efficiency failed on 60 instances\n"
+    "  arrival-order oracle disagreed on 60 instances\n"
+    "minimum-revenue projection: 200/200 checks passed\n"
+    "verification FAILED\n"
+)
+
+
 class TestVerifyTable:
     def test_small_run_passes(self, capsys):
         code, out, _ = run(capsys, "verify-table", "--seed", "7", "--samples", "60")
@@ -288,3 +467,12 @@ class TestVerifyTable:
             _, out, _ = run(capsys, "verify-table", "--seed", "11", "--samples", "40")
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+    def test_failed_checks_are_reported(self, capsys, monkeypatch):
+        monkeypatch.setattr("coreselect.verify.EQUIVALENCE_TOLERANCE", -1.0)
+        monkeypatch.setattr("coreselect.verify.DERIVATIVE_TOLERANCE", -1.0)
+        code, out, _ = run(capsys, "verify-table", "--seed", "7", "--samples", "60")
+        assert code == 1
+        assert "region threshold table: 16/16 cells passed\n" in out
+        assert "minimum-revenue projection: 200/200 checks passed\n" in out
+        assert out == VERIFY_TABLE_FAILURE_SEED_7_SAMPLES_60

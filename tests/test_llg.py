@@ -272,6 +272,18 @@ class TestRegionMap:
         assert len(lines) == 26
         assert "0.0,0.0,locals_weak,GLOBAL,," in lines
 
+    def test_csv_case_column_matches_classify_case(self):
+        # Odd resolution puts grid points on the a = g and b = g boundaries.
+        g = 2.5
+        rows = region_map_to_csv(region_map(R.SHAPLEY_PAYMENT_WITH_AUCTIONEER, g, 77))
+        seen = set()
+        for row in rows.strip().split("\n")[1:]:
+            a, b, case, region = row.split(",")[:4]
+            assert case == classify_case(LlgBidProfile(float(a), float(b), g)).value, row
+            seen.add((case, region == Region.GLOBAL_WINNER.value))
+        assert {case for case, _ in seen} == {case.value for case in CaseLabel}
+        assert (CaseLabel.LOCALS_WEAK.value, True) in seen
+
     def test_csv_deterministic(self):
         first = region_map_to_csv(region_map(R.SHAPLEY_PAYMENT_WITH_AUCTIONEER, resolution=20))
         second = region_map_to_csv(region_map(R.SHAPLEY_PAYMENT_WITH_AUCTIONEER, resolution=20))
