@@ -11,7 +11,7 @@ reference point can be projected onto it in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .model import AuctionInstance, LlgBidProfile
 from .reference import PaymentVector
@@ -69,6 +69,21 @@ def _payment_values(payments: PaymentVector | Sequence[float], n: int) -> tuple[
     return values
 
 
+def _iter_core_constraints(instance: AuctionInstance) -> Iterator[CoreConstraint]:
+    ids = instance.bidder_ids()
+    everyone = frozenset(ids)
+    table = instance.coalition_values
+    realized = instance.realized
+    for mask in range((1 << instance.n) - 1):
+        coalition = frozenset(ids[i] for i in range(instance.n) if mask >> i & 1)
+        bound = table[mask] - sum(realized[i - 1] for i in coalition)
+        yield CoreConstraint("coalition", coalition, everyone - coalition, bound)
+    for i in ids:
+        single = frozenset({i})
+        yield CoreConstraint("ir", single, single, realized[i - 1])
+        yield CoreConstraint("nonneg", single, single, 0.0)
+
+
 def core_constraints(instance: AuctionInstance) -> list[CoreConstraint]:
     """All core conditions for the instance's efficient allocation.
 
@@ -76,30 +91,20 @@ def core_constraints(instance: AuctionInstance) -> list[CoreConstraint]:
     (the full set is vacuous and omitted), then an individual-rationality cap
     and a non-negativity floor for every bidder.
     """
-    ids = instance.bidder_ids()
-    everyone = frozenset(ids)
-    table = instance.coalition_values
-    realized = instance.realized
-
-    constraints = []
-    for mask in range((1 << instance.n) - 1):
-        coalition = frozenset(ids[i] for i in range(instance.n) if mask >> i & 1)
-        bound = table[mask] - sum(realized[i - 1] for i in coalition)
-        constraints.append(CoreConstraint("coalition", coalition, everyone - coalition, bound))
-    for i in ids:
-        single = frozenset({i})
-        constraints.append(CoreConstraint("ir", single, single, realized[i - 1]))
-        constraints.append(CoreConstraint("nonneg", single, single, 0.0))
-    return constraints
+    return list(_iter_core_constraints(instance))
 
 
 def core_violations(
     instance: AuctionInstance, payments: PaymentVector | Sequence[float]
 ) -> list[CoreViolation]:
-    """Constraints the payments violate beyond the tolerance (empty = in the core)."""
+    """Constraints the payments violate beyond the tolerance (empty = in the core).
+
+    The constraints are checked as they are generated and only the violated
+    ones are kept, so the full list is never held in memory.
+    """
     values = _payment_values(payments, instance.n)
     violations = []
-    for constraint in core_constraints(instance):
+    for constraint in _iter_core_constraints(instance):
         slack = constraint.slack(values)
         if slack < -CORE_TOLERANCE:
             violations.append(CoreViolation(constraint, slack))

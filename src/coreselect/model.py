@@ -1,9 +1,11 @@
-"""Small combinatorial auction instances solved by exhaustive search.
+"""Small combinatorial auction instances solved exactly.
 
 Bids use XOR semantics: each bidder names alternative bundles and wins at
 most one of them (winning none is worth zero). Instances are capped at 12
-bidders and 8 goods, so every optimisation in this module is an exact
-enumeration over feasible assignments.
+bidders and 8 goods. The efficient allocation, with its tie-broken
+assignment, is found by a branch-and-bound search over feasible
+assignments; the value of every bidder coalition comes from one dynamic
+program over subsets of goods that reproduces that search's values.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ LLG_GOODS = ("g1", "g2")
 
 
 class SizeLimitError(ValueError):
-    """Instance exceeds the exhaustive-search scale caps."""
+    """Instance exceeds the engine's scale caps."""
 
 
 class InvalidCoalitionError(ValueError):
@@ -282,12 +284,72 @@ def realized_welfare(
 
 
 def coalition_value_table(instance: AuctionInstance) -> list[float]:
-    """Coalitional value of every bidder subset, indexed by bitmask (bit i = bidder id i+1)."""
+    """Coalitional value of every bidder subset, indexed by bitmask (bit i = bidder id i+1).
+
+    A dynamic program over goods masks (Rothkopf, Pekec and Harstad 1998)
+    returns, bit for bit, the welfare ``_exhaustive_best`` finds for each
+    subset. A layer holds, for every goods mask g, the best welfare the
+    coalition reaches using only goods in g. Coalition S is built from S
+    without its highest bidder h: for each of h's options, in
+    ``_bidder_options`` order, every mask g that contains the bundle is
+    relaxed from ``parent[g & ~bundle] + value``. Adding the highest bidder
+    last makes every candidate the same id-order float sum the search
+    forms, and since float addition is monotone, the best prefix plus a
+    value is the best of the sums.
+
+    The search's tie rule is carried as an integer key per mask: a
+    mixed-radix number with one digit per bidder, bidder 1 most
+    significant, where option k of a bidder with K options is the digit
+    K - 1 - k, so the empty award is 0. A candidate replaces an entry when
+    it is higher by more than ``TIE_TOLERANCE``, or within it and its key
+    is larger, that is when its assignment comes first in the search's
+    canonical order. Coalitions are walked depth first, so at most n + 1
+    layers are live; a coalition holding bidder n is never extended, so
+    only its full-mask entry is relaxed.
+    """
     n = instance.n
+    full = (1 << instance.m) - 1
     options = _instance_options(instance)
+    digit_weights = [1] * n
+    for i in range(n - 2, -1, -1):
+        digit_weights[i] = digit_weights[i + 1] * len(options[i + 1])
+    # Per bidder and positive option: value, key increment, and the
+    # (rest, goods) mask pairs it relaxes, for every goods mask and for the
+    # full mask alone.
+    relaxations = []
+    for i, bidder_options in enumerate(options):
+        last = len(bidder_options) - 1
+        rows = []
+        for k, (bundle, value, _) in enumerate(bidder_options[:last]):
+            pairs = [(rest, rest | bundle) for rest in range(full + 1) if not rest & bundle]
+            rows.append((value, (last - k) * digit_weights[i], pairs, [(full & ~bundle, full)]))
+        relaxations.append(rows)
+
     table = [0.0] * (1 << n)
-    for mask in range(1, 1 << n):
-        table[mask] = _exhaustive_best([options[i] for i in range(n) if mask >> i & 1])[0]
+    # Entries: coalition mask, index of the next bidder to add, its layer.
+    stack = [(0, 0, [0.0] * (full + 1), [0] * (full + 1))]
+    while stack:
+        coalition, h, values, keys = stack[-1]
+        if h == n:
+            stack.pop()
+            continue
+        stack[-1] = (coalition, h + 1, values, keys)
+        extended = h < n - 1
+        child_values = values.copy()
+        child_keys = keys.copy()
+        for value, step, pairs, full_pair in relaxations[h]:
+            for rest, goods in pairs if extended else full_pair:
+                candidate = values[rest] + value
+                best = child_values[goods]
+                if candidate > best + TIE_TOLERANCE or (
+                    candidate >= best - TIE_TOLERANCE and keys[rest] + step > child_keys[goods]
+                ):
+                    child_values[goods] = candidate
+                    child_keys[goods] = keys[rest] + step
+        child = coalition | 1 << h
+        table[child] = child_values[full]
+        if extended:
+            stack.append((child, h + 1, child_values, child_keys))
     return table
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from coreselect import (
     realized_welfare,
     winner_determination,
 )
+from coreselect.model import _exhaustive_best, _instance_options
 from helpers import instances
 
 G1 = frozenset({"g1"})
@@ -92,7 +94,99 @@ class TestCoalitionalValue:
         ids = instance.bidder_ids()
         for mask in range(1 << instance.n):
             coalition = {ids[i] for i in range(instance.n) if mask >> i & 1}
-            assert table[mask] == pytest.approx(coalitional_value(instance, coalition), abs=1e-12)
+            assert table[mask] == coalitional_value(instance, coalition)
+
+
+# Bid values whose sums tie often, exactly or within a few ulps (0.1 + 0.2
+# against 0.3, thirds against 2/3): there a float-max DP without the
+# search's tie rule drifts from the search by one ulp.
+TIE_VALUES = (0.0, 0.001, 0.1, 0.2, 0.3, 1 / 3, 0.5, 2 / 3, 0.7)
+
+
+def _search_table(instance):
+    """The per-subset search the subset DP must reproduce bit for bit."""
+    options = _instance_options(instance)
+    return [
+        _exhaustive_best([options[i] for i in range(instance.n) if mask >> i & 1])[0]
+        for mask in range(1 << instance.n)
+    ]
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    m = draw(st.integers(0, 6))
+    goods = tuple(f"g{k}" for k in range(1, m + 1))
+    n = draw(st.integers(0, 8))
+    scale = draw(st.sampled_from((1e-6, 1.0, 1e3, 1e9)))
+    # Bundles of one or two goods let many bidders share the goods, so
+    # near-tied assignments are common; duplicate bundles are allowed.
+    bundles = st.frozensets(st.sampled_from(goods), min_size=1, max_size=2)
+    values = st.sampled_from(TIE_VALUES).map(scale.__mul__)
+    bidders = []
+    for i in range(1, n + 1):
+        bids = draw(st.lists(st.builds(Bid, bundles, values), min_size=1, max_size=3)) if goods else []
+        bidders.append(Bidder(i, tuple(bids)))
+    return AuctionInstance(goods, tuple(bidders))
+
+
+class TestCoalitionValueTableExact:
+    """``coalition_value_table`` equals the per-subset search with ``==``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance=tie_heavy_instances())
+    def test_matches_search_on_tie_heavy_bids(self, instance):
+        assert coalition_value_table(instance) == _search_table(instance)
+
+    def test_no_bidders(self):
+        instance = AuctionInstance(("g1", "g2"), ())
+        assert coalition_value_table(instance) == _search_table(instance) == [0.0]
+
+    def test_no_goods(self):
+        instance = AuctionInstance((), (Bidder(1, ()), Bidder(2, ())))
+        assert coalition_value_table(instance) == _search_table(instance) == [0.0] * 4
+
+    def test_zero_valued_bids(self):
+        instance = llg_instance(0.0, 0.0, 0.0)
+        assert coalition_value_table(instance) == _search_table(instance) == [0.0] * 8
+
+    def test_inexact_tie_keeps_first_assignment(self):
+        # 0.1 + 0.2 exceeds 0.3 by one ulp, far inside TIE_TOLERANCE, so the
+        # search keeps bidder 1's package, which comes first.
+        instance = AuctionInstance(
+            ("g1", "g2"),
+            (
+                Bidder(1, (Bid(BOTH, 0.3),)),
+                Bidder(2, (Bid(G1, 0.1),)),
+                Bidder(3, (Bid(G2, 0.2),)),
+            ),
+        )
+        table = coalition_value_table(instance)
+        assert table == _search_table(instance)
+        assert table[0b111] == 0.3
+        assert table[0b110] == 0.1 + 0.2
+
+    def test_duplicate_bundle_keeps_higher_value(self):
+        instance = AuctionInstance(
+            ("g1",),
+            (Bidder(1, (Bid(G1, 0.3), Bid(G1, 0.7), Bid(G1, 0.5))),),
+        )
+        assert coalition_value_table(instance) == _search_table(instance) == [0.0, 0.7]
+
+    def test_twelve_bidders_eight_goods(self):
+        rng = random.Random(7)
+        goods = tuple(f"g{k}" for k in range(1, 9))
+        bidders = tuple(
+            Bidder(
+                i,
+                tuple(
+                    Bid(frozenset(rng.sample(goods, rng.randint(1, 4))), rng.choice(TIE_VALUES))
+                    for _ in range(3)
+                ),
+            )
+            for i in range(1, 13)
+        )
+        instance = AuctionInstance(goods, bidders)
+        assert coalition_value_table(instance) == _search_table(instance)
 
 
 class TestRealizedWelfare:
