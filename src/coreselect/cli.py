@@ -41,6 +41,9 @@ _SVG_PALETTE = (
     "#a50026",
 )
 
+# Width and height of the region-map SVG, in user units.
+SVG_SIZE = 640
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -194,40 +197,38 @@ def _cmd_derivative(args: argparse.Namespace) -> int:
     return 0
 
 
-def render_region_map_svg(grid: RegionMap, size: int = 640) -> str:
+def render_region_map_svg(grid: RegionMap) -> str:
     """Static SVG raster of a region map: one rect per cell, case lines overlaid."""
     resolution = len(grid.a_values)
-    cell = size / resolution
+    cell = SVG_SIZE / resolution
     derivatives = sorted(
         {report.derivative for row in grid.cells for report in row if report is not None}
     )
-    colors = {
-        value: _SVG_PALETTE[i * (len(_SVG_PALETTE) - 1) // max(len(derivatives) - 1, 1)]
+    # Each cell's <rect> is its column's x string, its row's y string and the
+    # tail for its derivative's colour, each formatted once.
+    tails = {
+        value: f'" width="{cell:.2f}" height="{cell:.2f}" '
+        f'fill="{_SVG_PALETTE[i * (len(_SVG_PALETTE) - 1) // max(len(derivatives) - 1, 1)]}"/>'
         for i, value in enumerate(derivatives)
     }
+    ys = [f"{(resolution - 1 - j) * cell:.2f}" for j in range(resolution)]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="#ffffff"/>',
+        f'width="{SVG_SIZE}" height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="#ffffff"/>',
     ]
-    for i in range(resolution):
-        for j in range(resolution):
-            report = grid.cells[i][j]
-            if report is None:
-                continue
-            x = i * cell
-            y = (resolution - 1 - j) * cell
-            parts.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell:.2f}" height="{cell:.2f}" '
-                f'fill="{colors[report.derivative]}"/>'
-            )
+    for i, row in enumerate(grid.cells):
+        x_prefix = f'<rect x="{i * cell:.2f}" y="'
+        for y, report in zip(ys, row):
+            if report is not None:
+                parts.append(x_prefix + y + tails[report.derivative])
     # Case boundaries sit at a = g and b = g, i.e. halfway along each axis.
-    mid = size / 2
+    mid = SVG_SIZE / 2
     parts.append(
-        f'<line x1="{mid:.2f}" y1="0" x2="{mid:.2f}" y2="{size}" stroke="#ff0000" stroke-width="1.5"/>'
+        f'<line x1="{mid:.2f}" y1="0" x2="{mid:.2f}" y2="{SVG_SIZE}" stroke="#ff0000" stroke-width="1.5"/>'
     )
     parts.append(
-        f'<line x1="0" y1="{mid:.2f}" x2="{size}" y2="{mid:.2f}" stroke="#ff0000" stroke-width="1.5"/>'
+        f'<line x1="0" y1="{mid:.2f}" x2="{SVG_SIZE}" y2="{mid:.2f}" stroke="#ff0000" stroke-width="1.5"/>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -123,17 +123,23 @@ def llg_mrc_segment(profile: LlgBidProfile) -> MrcSegment:
     p1 <= min(a, g), the latter also being bidder 1's rationality cap when
     a <= g.
     """
-    return MrcSegment(
-        g=profile.g,
-        p1_min=max(0.0, profile.g - profile.b),
-        p1_max=min(profile.a, profile.g),
-        valid=profile.locals_win(),
-    )
+    p1_min, p1_max = llg_segment_ends(profile.a, profile.b, profile.g)
+    return MrcSegment(g=profile.g, p1_min=p1_min, p1_max=p1_max, valid=profile.locals_win())
+
+
+def llg_segment_ends(a: float, b: float, g: float) -> tuple[float, float]:
+    """The ends (p1_min, p1_max) of the minimum-revenue core segment, from bare bids."""
+    return max(0.0, g - b), min(a, g)
+
+
+def even_split(g: float, r1: float, r2: float) -> float:
+    """Bidder 1's payment when the revenue shortfall g - r1 - r2 is split evenly."""
+    return 0.5 * (g + r1 - r2)
 
 
 def mrc_even_split(profile: LlgBidProfile, r1: float, r2: float) -> float:
     """Bidder 1's payment when the revenue shortfall g - r1 - r2 is split evenly."""
-    return 0.5 * (profile.g + r1 - r2)
+    return even_split(profile.g, r1, r2)
 
 
 def project_to_mrc(

@@ -14,14 +14,15 @@ which ``LlgBidProfile.locals_win`` decides with the engine's tie rule.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
-from .core import llg_mrc_segment, mrc_even_split, project_to_mrc
-from .model import TIE_TOLERANCE, LlgBidProfile, llg_instance
+from .core import even_split, llg_mrc_segment, llg_segment_ends, mrc_even_split, project_to_mrc
+from .model import LlgBidProfile, llg_instance
 from .reference import PaymentVector, ReferenceRule, reference_point
 
 BOUNDARY_TOLERANCE = 1e-9
@@ -69,17 +70,18 @@ class DerivativeReport:
     boundary: bool = False
 
 
+# Cases in the order _case_index numbers them.
+_CASES = tuple(CaseLabel)
+
+
+def _case_index(a: float, b: float, g: float) -> int:
+    """Position of the case in _CASES: 1 for a > g plus 2 for b > g."""
+    return (a > g) + 2 * (b > g)
+
+
 def classify_case(profile: LlgBidProfile) -> CaseLabel:
     """Relative strength of the local bids, ties counted as weak."""
-    strong1 = profile.a > profile.g
-    strong2 = profile.b > profile.g
-    if strong1 and strong2:
-        return CaseLabel.LOCALS_STRONG
-    if strong1:
-        return CaseLabel.LOCAL1_STRONG
-    if strong2:
-        return CaseLabel.LOCAL2_STRONG
-    return CaseLabel.LOCALS_WEAK
+    return _CASES[_case_index(profile.a, profile.b, profile.g)]
 
 
 _R = ReferenceRule
@@ -177,6 +179,35 @@ _SENSITIVITY: dict[CaseLabel, dict[ReferenceRule, Fraction]] = {
 }
 
 
+# Region indices of the report tables, in the order of _REPORT_REGIONS.
+_IR1, _IR2, _NONNEG, _INTERIOR = range(4)
+_REPORT_REGIONS = (Region.IR1_BINDING, Region.IR2_BINDING, Region.NONNEG_BINDING, Region.INTERIOR)
+
+
+def _case_reports(
+    case: CaseLabel, rule: ReferenceRule
+) -> tuple[tuple[DerivativeReport, DerivativeReport], ...]:
+    """Every report the rule can give in the case, indexed [region][boundary]."""
+    sens = float(_SENSITIVITY[case][rule])
+    derivatives = (1.0, 0.0, 0.0, sens / 2)
+    return tuple(
+        (
+            DerivativeReport(case, region, derivative, sens, False),
+            DerivativeReport(case, region, derivative, sens, True),
+        )
+        for region, derivative in zip(_REPORT_REGIONS, derivatives)
+    )
+
+
+# Per rule and case (in _CASES order): the closed forms and the reports.
+# Keyed by id(rule) since members are singletons and Enum.__hash__ runs in
+# Python; projection_derivative looks here once per call.
+_BY_RULE = {
+    id(rule): tuple((_FORMS[case][rule], _case_reports(case, rule)) for case in _CASES)
+    for rule in ReferenceRule
+}
+
+
 def closed_form_for_case(
     case: CaseLabel, profile: LlgBidProfile, rule: ReferenceRule
 ) -> tuple[float, float]:
@@ -240,26 +271,19 @@ def projection_derivative(profile: LlgBidProfile, rule: ReferenceRule) -> Deriva
         raise GlobalWinnerError(
             f"global bidder wins at (a, b, g) = ({profile.a}, {profile.b}, {profile.g})"
         )
-    case = classify_case(profile)
-    sens = float(_SENSITIVITY[case][rule])
-    p1, p2 = closed_form_for_case(case, profile, rule)
-    split = mrc_even_split(profile, p1, p2)
-    segment = llg_mrc_segment(profile)
-    lo, hi = segment.p1_min, segment.p1_max
+    a, b, g = profile.a, profile.b, profile.g
+    form, reports = _BY_RULE[id(rule)][_case_index(a, b, g)]
+    split = even_split(g, *form(a, b, g))
+    lo, hi = llg_segment_ends(a, b, g)
     boundary = abs(split - lo) <= BOUNDARY_TOLERANCE or abs(split - hi) <= BOUNDARY_TOLERANCE
     if split > hi + BOUNDARY_TOLERANCE:
-        if profile.a <= profile.g:
-            region, derivative = Region.IR1_BINDING, 1.0
-        else:
-            region, derivative = Region.NONNEG_BINDING, 0.0
+        region = _IR1 if a <= g else _NONNEG
     elif split < lo - BOUNDARY_TOLERANCE:
-        if profile.b <= profile.g:
-            region, derivative = Region.IR2_BINDING, 0.0
-        else:
-            region, derivative = Region.NONNEG_BINDING, 0.0
+        region = _IR2 if b <= g else _NONNEG
     else:
-        region, derivative = Region.INTERIOR, sens / 2
-    return DerivativeReport(case, region, derivative, sens, boundary)
+        region = _INTERIOR
+    # Reports are shared: every call with the same outcome returns the same object.
+    return reports[region][boundary]
 
 
 def numeric_derivative(
@@ -320,18 +344,18 @@ def region_map(rule: ReferenceRule, g: float = 1.0, resolution: int = 200) -> Re
     """
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
-    if g <= 0:
+    if not g > 0:
         raise ValueError(f"global bid must be positive, got {g}")
+    # The largest product 2g * i below must be finite for every coordinate to be.
+    if not math.isfinite(2 * g * (resolution - 1)):
+        raise ValueError(f"global bid {g} is too large: the grid over [0, 2g] is not finite")
     coords = tuple(2 * g * i / (resolution - 1) for i in range(resolution))
     cells = []
     for a in coords:
         row: list[DerivativeReport | None] = []
         for b in coords:
-            # LlgBidProfile.locals_win inline: global-winner cells need no profile.
-            if a + b < g - TIE_TOLERANCE:
-                row.append(None)
-            else:
-                row.append(projection_derivative(LlgBidProfile(a, b, g), rule))
+            profile = LlgBidProfile(a, b, g)
+            row.append(projection_derivative(profile, rule) if profile.locals_win() else None)
         cells.append(tuple(row))
     return RegionMap(rule, g, coords, coords, tuple(cells))
 
@@ -344,17 +368,20 @@ def region_map_to_csv(grid: RegionMap) -> str:
     """
     lines = ["A,B,case,region,derivative,sensitivity"]
     # The global bidder wins only where a + b < g, so both local bids are below g.
-    global_row = f"{CaseLabel.LOCALS_WEAK.value},{Region.GLOBAL_WINNER.value},,"
-    for i, a in enumerate(grid.a_values):
-        for j, b in enumerate(grid.b_values):
-            cell = grid.cells[i][j]
-            if cell is None:
-                lines.append(f"{a!r},{b!r},{global_row}")
-            else:
-                lines.append(
-                    f"{a!r},{b!r},{cell.case.value},{cell.region.value},"
+    # Suffixes are keyed by id(): region_map shares one report per outcome, and
+    # the grid keeps every report alive while the suffixes are in use.
+    suffixes = {id(None): f"{CaseLabel.LOCALS_WEAK.value},{Region.GLOBAL_WINNER.value},,"}
+    b_prefixes = [f"{b!r}," for b in grid.b_values]
+    for a, row in zip(grid.a_values, grid.cells):
+        a_prefix = f"{a!r},"
+        for b_prefix, cell in zip(b_prefixes, row):
+            suffix = suffixes.get(id(cell))
+            if suffix is None:
+                suffix = suffixes[id(cell)] = (
+                    f"{cell.case.value},{cell.region.value},"
                     f"{cell.derivative!r},{cell.sensitivity!r}"
                 )
+            lines.append(a_prefix + b_prefix + suffix)
     return "\n".join(lines) + "\n"
 
 

@@ -58,10 +58,11 @@ class LlgBidProfile:
     g: float
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "g"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"LLG bid {name} must be finite and non-negative, got {value}")
+        # One chained test per bid: NaN, infinities and negatives all fail it.
+        if not (0 <= self.a < math.inf and 0 <= self.b < math.inf and 0 <= self.g < math.inf):
+            for name, value in (("a", self.a), ("b", self.b), ("g", self.g)):
+                if not 0 <= value < math.inf:
+                    raise ValueError(f"LLG bid {name} must be finite and non-negative, got {value}")
 
     def swapped(self) -> "LlgBidProfile":
         """Profile with the two local bids exchanged."""

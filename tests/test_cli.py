@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -212,6 +213,68 @@ class TestRegionMap:
         assert text.startswith("<svg")
         assert text.count("<rect") >= 4 + 1  # cells plus background
         assert text.count("<line") == 2
+
+
+# sha256 of the region-map CSV and SVG bytes at --g 2.5 --resolution 77, per rule.
+REGION_MAP_G_2_5_RESOLUTION_77 = {
+    "first-price": (
+        "14141039eb06234e119fd8cb30d3d6415372c712225c31021fd46a883c0e657a",
+        "286480aa1ec8e77b1e1cda86774e65389ab8fffd0abb39de754f3058e58efdc5",
+    ),
+    "vcg": (
+        "75db676946abc953d2a1c7ce0a3520ef963a78b3b41760b6741ade9247d1b6b2",
+        "39aaa0e68605362b0a586c8ccb15325bf23363ee26c94e46867680ded8a6e960",
+    ),
+    "shapley-no-auctioneer": (
+        "f8558722458f9a5c4c2b8655a539ab77462f50e2267f00c14650784ff0cba273",
+        "c4833495c331d99785042c81a5a40c40b51f37c1ab810540144b7fe260a1706c",
+    ),
+    "shapley-payoff-no-auctioneer": (
+        "a9b8574f3d104fddd155c530f30d3539e30029d5cc7d0c13f149f3802e7cb5d4",
+        "aab9cf248dbbe02d1e7ec11ccf6aa122ea79b0af944753d7be0b52507f66cbf7",
+    ),
+    "shapley-with-auctioneer": (
+        "f43973e79707842d7371c4c53677d76bdff62f5197b13445ab41af6478c688da",
+        "7e9a37b9300c76f53b0e57575f4a5856391fdbebea2e28818b3911bd912da5be",
+    ),
+    "shapley-payoff-with-auctioneer": (
+        "2eef4c66485cc0b6aaaa869e38d125d5f8fa32310715566f63ea07aa9e6abf26",
+        "b0ba34fab4a4f5d061cfb49aac1b8b9182e70444fe5c5db446b90bd1d28b819c",
+    ),
+}
+
+
+class TestRegionMapBytes:
+    @pytest.mark.parametrize("rule", sorted(REGION_MAP_G_2_5_RESOLUTION_77))
+    def test_csv_and_svg_digests(self, capsys, tmp_path, rule):
+        csv_path, svg_path = tmp_path / "map.csv", tmp_path / "map.svg"
+        code, out, _ = run(
+            capsys,
+            "region-map",
+            "--rule",
+            rule,
+            "--g",
+            "2.5",
+            "--resolution",
+            "77",
+            "--out",
+            str(csv_path),
+            "--svg",
+            str(svg_path),
+        )
+        assert (code, out) == (0, "")
+        digests = tuple(
+            hashlib.sha256(path.read_bytes()).hexdigest() for path in (csv_path, svg_path)
+        )
+        assert digests == REGION_MAP_G_2_5_RESOLUTION_77[rule]
+
+    @pytest.mark.parametrize("g", ["inf", "nan", "1e308", "0", "-1"])
+    def test_bad_global_bid_is_usage_error(self, capsys, g):
+        code, out, err = run(capsys, "region-map", "--rule", "vcg", "--g", g, "--resolution", "5")
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and "global bid" in err, err
 
 
 class TestCoreCheck:

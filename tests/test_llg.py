@@ -308,6 +308,24 @@ class TestRegionMap:
             region_map(R.VCG, resolution=1)
         with pytest.raises(ValueError):
             region_map(R.VCG, g=0.0)
+        for g in (float("inf"), float("nan"), 1e308, -1.0):
+            with pytest.raises(ValueError, match="global bid"):
+                region_map(R.VCG, g=g, resolution=5)
+        # 2g is finite here, but 2g * 199, the top corner's numerator, is not.
+        with pytest.raises(ValueError, match="global bid"):
+            region_map(R.VCG, g=1e307, resolution=200)
+
+    @pytest.mark.parametrize("rule", list(R))
+    @pytest.mark.parametrize("g,resolution", [(2.5, 77), (0.3, 31), (1.0, 41)])
+    def test_every_cell_is_projection_derivative(self, rule, g, resolution):
+        grid = region_map(rule, g, resolution)
+        for a, row in zip(grid.a_values, grid.cells):
+            for b, cell in zip(grid.b_values, row):
+                profile = LlgBidProfile(a, b, g)
+                if profile.locals_win():
+                    assert cell == projection_derivative(profile, rule), (a, b)
+                else:
+                    assert cell is None, (a, b)
 
 
 class TestThresholdTable:
