@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterable
 
 from .core import core_violations, project_to_mrc
 from .llg import (
@@ -121,6 +122,10 @@ def _fmt(value: float) -> str:
     return f"{0.0 if value == 0 else value:.6f}"
 
 
+def _fmt_vector(values: Iterable[float]) -> str:
+    return " ".join(f"p{i + 1}={_fmt(v)}" for i, v in enumerate(values))
+
+
 def _write(args: argparse.Namespace, text: str) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -147,11 +152,9 @@ def _cmd_payments(args: argparse.Namespace) -> int:
             line = f"case={classify_case(profile).value} p1={_fmt(p1)} p2={_fmt(p2)}\n"
         else:
             vector = reference_point(profile.to_instance(), rule)
-            parts = " ".join(f"p{i + 1}={_fmt(v)}" for i, v in enumerate(vector.values))
-            line = f"case=global_winner {parts}\n"
+            line = f"case=global_winner {_fmt_vector(vector)}\n"
     else:
-        vector = reference_point(_load_instance(args.instance), rule)
-        line = " ".join(f"p{i + 1}={_fmt(v)}" for i, v in enumerate(vector.values)) + "\n"
+        line = _fmt_vector(reference_point(_load_instance(args.instance), rule)) + "\n"
     _write(args, line)
     return 0
 
@@ -162,8 +165,7 @@ def _cmd_project(args: argparse.Namespace) -> int:
     reference = reference_point(profile.to_instance(), rule)
     projected = project_to_mrc(profile, reference, c=args.metric)
     case = classify_case(profile).value if profile.locals_win() else "global_winner"
-    parts = " ".join(f"p{i + 1}={_fmt(v)}" for i, v in enumerate(projected.values))
-    _write(args, f"case={case} {parts}\n")
+    _write(args, f"case={case} {_fmt_vector(projected)}\n")
     return 0
 
 

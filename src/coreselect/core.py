@@ -137,11 +137,6 @@ def even_split(g: float, r1: float, r2: float) -> float:
     return 0.5 * (g + r1 - r2)
 
 
-def mrc_even_split(profile: LlgBidProfile, r1: float, r2: float) -> float:
-    """Bidder 1's payment when the revenue shortfall g - r1 - r2 is split evenly."""
-    return even_split(profile.g, r1, r2)
-
-
 def project_to_mrc(
     profile: LlgBidProfile,
     reference: PaymentVector | Sequence[float],
@@ -163,5 +158,5 @@ def project_to_mrc(
     segment = llg_mrc_segment(profile)
     if not segment.valid:
         return PaymentVector((0.0, 0.0, profile.a + profile.b))
-    p1 = min(max(mrc_even_split(profile, values[0], values[1]), segment.p1_min), segment.p1_max)
+    p1 = min(max(even_split(profile.g, values[0], values[1]), segment.p1_min), segment.p1_max)
     return PaymentVector((p1, profile.g - p1, 0.0))

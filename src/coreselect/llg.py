@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
-from .core import even_split, llg_mrc_segment, llg_segment_ends, mrc_even_split, project_to_mrc
+from .core import even_split, llg_mrc_segment, llg_segment_ends, project_to_mrc
 from .model import LlgBidProfile, llg_instance
 from .reference import PaymentVector, ReferenceRule, reference_point
 
@@ -184,27 +184,27 @@ _IR1, _IR2, _NONNEG, _INTERIOR = range(4)
 _REPORT_REGIONS = (Region.IR1_BINDING, Region.IR2_BINDING, Region.NONNEG_BINDING, Region.INTERIOR)
 
 
-def _case_reports(
-    case: CaseLabel, rule: ReferenceRule
-) -> tuple[tuple[DerivativeReport, DerivativeReport], ...]:
-    """Every report the rule can give in the case, indexed [region][boundary]."""
-    sens = float(_SENSITIVITY[case][rule])
+def _case_entry(case: CaseLabel, rule: ReferenceRule) -> tuple:
+    """(closed form, exact sensitivity, reports indexed [region][boundary])."""
+    exact = _SENSITIVITY[case][rule]
+    sens = float(exact)
     derivatives = (1.0, 0.0, 0.0, sens / 2)
-    return tuple(
+    reports = tuple(
         (
             DerivativeReport(case, region, derivative, sens, False),
             DerivativeReport(case, region, derivative, sens, True),
         )
         for region, derivative in zip(_REPORT_REGIONS, derivatives)
     )
+    return _FORMS[case][rule], exact, reports
 
 
-# Per rule and case (in _CASES order): the closed forms and the reports.
-# Keyed by id(rule) since members are singletons and Enum.__hash__ runs in
-# Python; projection_derivative looks here once per call.
+# The only runtime lookup of the per-case data: per rule, one _case_entry
+# per case in _CASES order; _FORMS and _SENSITIVITY are read only to build it.
+# Keyed by id(rule) and indexed by case position, since members are
+# singletons and Enum.__hash__ runs in Python.
 _BY_RULE = {
-    id(rule): tuple((_FORMS[case][rule], _case_reports(case, rule)) for case in _CASES)
-    for rule in ReferenceRule
+    id(rule): tuple(_case_entry(case, rule) for case in _CASES) for rule in ReferenceRule
 }
 
 
@@ -215,7 +215,8 @@ def closed_form_for_case(
 
     Useful for checking continuity across case boundaries.
     """
-    return _FORMS[case][rule](profile.a, profile.b, profile.g)
+    form, _, _ = _BY_RULE[id(rule)][_CASES.index(case)]
+    return form(profile.a, profile.b, profile.g)
 
 
 def closed_form_reference(profile: LlgBidProfile, rule: ReferenceRule) -> PaymentVector:
@@ -224,13 +225,15 @@ def closed_form_reference(profile: LlgBidProfile, rule: ReferenceRule) -> Paymen
     Payments for the payment rules, payoffs for the payoff rules. Valid on
     profiles where the locals jointly win.
     """
-    pair = closed_form_for_case(classify_case(profile), profile, rule)
-    return PaymentVector(pair, kind="payoff" if rule.is_payoff else "payment")
+    a, b, g = profile.a, profile.b, profile.g
+    form, _, _ = _BY_RULE[id(rule)][_case_index(a, b, g)]
+    return PaymentVector(form(a, b, g), kind="payoff" if rule.is_payoff else "payment")
 
 
 def sensitivity_fraction(case: CaseLabel, rule: ReferenceRule) -> Fraction:
     """Exact sensitivity of the rule's local components in the given case."""
-    return _SENSITIVITY[case][rule]
+    _, exact, _ = _BY_RULE[id(rule)][_CASES.index(case)]
+    return exact
 
 
 def sensitivity(profile: LlgBidProfile, rule: ReferenceRule) -> float:
@@ -272,7 +275,7 @@ def projection_derivative(profile: LlgBidProfile, rule: ReferenceRule) -> Deriva
             f"global bidder wins at (a, b, g) = ({profile.a}, {profile.b}, {profile.g})"
         )
     a, b, g = profile.a, profile.b, profile.g
-    form, reports = _BY_RULE[id(rule)][_case_index(a, b, g)]
+    form, _, reports = _BY_RULE[id(rule)][_case_index(a, b, g)]
     split = even_split(g, *form(a, b, g))
     lo, hi = llg_segment_ends(a, b, g)
     boundary = abs(split - lo) <= BOUNDARY_TOLERANCE or abs(split - hi) <= BOUNDARY_TOLERANCE
@@ -303,7 +306,7 @@ def numeric_derivative(
     if h is None:
         h = 1e-5 * max(1.0, abs(a))
     p1, p2 = closed_form_reference(profile, rule)
-    split = mrc_even_split(profile, p1, p2)
+    split = even_split(g, p1, p2)
     segment = llg_mrc_segment(profile)
     margins = (
         a + b - g,

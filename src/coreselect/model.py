@@ -5,7 +5,10 @@ most one of them (winning none is worth zero). Instances are capped at 12
 bidders and 8 goods. The efficient allocation, with its tie-broken
 assignment, is found by a branch-and-bound search over feasible
 assignments; the value of every bidder coalition comes from one dynamic
-program over subsets of goods that reproduces that search's values.
+program over subsets of goods that reproduces that search's values, and
+``coalitional_value`` reads that cached table. The allocation stays on the
+search: the program's per-mask tie choice can differ from it once two prefix
+sums within the tie tolerance collapse to one welfare after a later bid.
 """
 
 from __future__ import annotations
@@ -269,11 +272,9 @@ def _validated_coalition(instance: AuctionInstance, coalition: Iterable[int]) ->
 
 
 def coalitional_value(instance: AuctionInstance, coalition: Iterable[int]) -> float:
-    """Welfare the coalition achieves on its own, all other bids set to zero."""
+    """Welfare the coalition achieves alone (other bids zeroed), from the cached table."""
     ids = _validated_coalition(instance, coalition)
-    options = _instance_options(instance)
-    welfare, _ = _exhaustive_best([options[i - 1] for i in sorted(ids)])
-    return welfare
+    return instance.coalition_values[sum(1 << (i - 1) for i in ids)]
 
 
 def realized_welfare(

@@ -45,9 +45,6 @@ class PaymentVector:
     values: tuple[float, ...]
     kind: str = "payment"
 
-    def for_bidder(self, bidder_id: int) -> float:
-        return self.values[bidder_id - 1]
-
     def __getitem__(self, index: int) -> float:
         return self.values[index]
 

@@ -21,11 +21,21 @@ from coreselect import (
     winner_determination,
 )
 from coreselect.model import _exhaustive_best, _instance_options
+from coreselect.verify import random_instance
 from helpers import instances
 
 G1 = frozenset({"g1"})
 G2 = frozenset({"g2"})
 BOTH = frozenset({"g1", "g2"})
+
+
+def _search_table(instance):
+    """The per-subset search the subset DP must reproduce bit for bit."""
+    options = _instance_options(instance)
+    return [
+        _exhaustive_best([options[i] for i in range(instance.n) if mask >> i & 1])[0]
+        for mask in range(1 << instance.n)
+    ]
 
 
 class TestWinnerDetermination:
@@ -74,6 +84,26 @@ class TestWinnerDetermination:
         instance = llg_instance(0.7, 0.7, 1.4)
         assert winner_determination(instance) == winner_determination(instance)
 
+    def test_tie_break_when_prefix_sums_collapse(self):
+        # The search keeps the first assignment in its canonical order,
+        # (1, 2, 3, 5). A goods-mask DP run along bidders 1..n picks
+        # (1, 3, 4, 5) instead: at mask {g1, g2, g3} it keeps x + x + p
+        # (0x1.a72d555555555p+19) over x + p + x (0x1.a72d555555554p+19),
+        # one ulp apart, which is more than TIE_TOLERANCE at this scale, and
+        # bidder 5's bid then rounds both sums to the same welfare.
+        x, p = 1e6 / 3, 2e5
+        bids = [("g1", x), ("g2", p), ("g3", x), ("g2", p), ("g4", p)]
+        instance = AuctionInstance(
+            ("g1", "g2", "g3", "g4"),
+            tuple(
+                Bidder(i, (Bid(frozenset({good}), value),))
+                for i, (good, value) in enumerate(bids, start=1)
+            ),
+        )
+        allocation = winner_determination(instance)
+        assert allocation.winners() == (1, 2, 3, 5)
+        assert allocation.welfare == coalition_value_table(instance)[-1]
+
 
 class TestCoalitionalValue:
     def test_local_and_global(self):
@@ -87,29 +117,31 @@ class TestCoalitionalValue:
     def test_unknown_bidder(self):
         with pytest.raises(InvalidCoalitionError):
             coalitional_value(llg_instance(0.4, 0.5, 0.8), {1, 9})
+        with pytest.raises(InvalidCoalitionError):
+            coalitional_value(llg_instance(0.4, 0.5, 0.8), [0])
 
     def test_table_matches_direct_computation(self):
         instance = llg_instance(0.6, 0.7, 1.0)
-        table = coalition_value_table(instance)
-        ids = instance.bidder_ids()
-        for mask in range(1 << instance.n):
-            coalition = {ids[i] for i in range(instance.n) if mask >> i & 1}
-            assert table[mask] == coalitional_value(instance, coalition)
+        assert coalition_value_table(instance) == _search_table(instance)
+
+    def test_matches_search_on_every_subset(self):
+        rng = random.Random(11)
+        for _ in range(8):
+            instance = random_instance(rng)
+            expected = _search_table(instance)
+            ids = instance.bidder_ids()
+            for mask in range(1 << instance.n):
+                members = [ids[i] for i in range(instance.n) if mask >> i & 1]
+                # Unsorted, with a repeated id: the coalition is a set of ids.
+                unsorted = [*reversed(members), *members[:1]]
+                assert coalitional_value(instance, unsorted) == expected[mask]
+            assert coalitional_value(instance, []) == expected[0] == 0.0
 
 
 # Bid values whose sums tie often, exactly or within a few ulps (0.1 + 0.2
 # against 0.3, thirds against 2/3): there a float-max DP without the
 # search's tie rule drifts from the search by one ulp.
 TIE_VALUES = (0.0, 0.001, 0.1, 0.2, 0.3, 1 / 3, 0.5, 2 / 3, 0.7)
-
-
-def _search_table(instance):
-    """The per-subset search the subset DP must reproduce bit for bit."""
-    options = _instance_options(instance)
-    return [
-        _exhaustive_best([options[i] for i in range(instance.n) if mask >> i & 1])[0]
-        for mask in range(1 << instance.n)
-    ]
 
 
 @st.composite
