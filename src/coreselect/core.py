@@ -10,6 +10,7 @@ reference point can be projected onto it in closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -66,22 +67,30 @@ def _payment_values(payments: PaymentVector | Sequence[float], n: int) -> tuple[
     values = tuple(payments)
     if len(values) != n:
         raise ValueError(f"payment vector has {len(values)} entries, expected {n}")
+    for bidder, value in enumerate(values, start=1):
+        if not math.isfinite(value):
+            raise ValueError(f"payment of bidder {bidder} must be finite, got {value}")
     return values
 
 
-def _iter_core_constraints(instance: AuctionInstance) -> Iterator[CoreConstraint]:
+def _coalition_conditions(
+    instance: AuctionInstance,
+) -> Iterator[tuple[frozenset[int], frozenset[int], float]]:
+    """(coalition, payers, bound) of every proper blocking coalition, by mask.
+
+    Bounds and slacks sum over these frozensets in their iteration order,
+    which is not ascending id order for every set (``frozenset({9, 3})``
+    yields 9 first), so the sets are built the same way for every caller.
+    """
     ids = instance.bidder_ids()
+    n = instance.n
     everyone = frozenset(ids)
     table = instance.coalition_values
     realized = instance.realized
-    for mask in range((1 << instance.n) - 1):
-        coalition = frozenset(ids[i] for i in range(instance.n) if mask >> i & 1)
+    for mask in range((1 << n) - 1):
+        coalition = frozenset(ids[i] for i in range(n) if mask >> i & 1)
         bound = table[mask] - sum(realized[i - 1] for i in coalition)
-        yield CoreConstraint("coalition", coalition, everyone - coalition, bound)
-    for i in ids:
-        single = frozenset({i})
-        yield CoreConstraint("ir", single, single, realized[i - 1])
-        yield CoreConstraint("nonneg", single, single, 0.0)
+        yield coalition, everyone - coalition, bound
 
 
 def core_constraints(instance: AuctionInstance) -> list[CoreConstraint]:
@@ -91,7 +100,16 @@ def core_constraints(instance: AuctionInstance) -> list[CoreConstraint]:
     (the full set is vacuous and omitted), then an individual-rationality cap
     and a non-negativity floor for every bidder.
     """
-    return list(_iter_core_constraints(instance))
+    constraints = [
+        CoreConstraint("coalition", coalition, payers, bound)
+        for coalition, payers, bound in _coalition_conditions(instance)
+    ]
+    realized = instance.realized
+    for i in instance.bidder_ids():
+        single = frozenset({i})
+        constraints.append(CoreConstraint("ir", single, single, realized[i - 1]))
+        constraints.append(CoreConstraint("nonneg", single, single, 0.0))
+    return constraints
 
 
 def core_violations(
@@ -99,15 +117,26 @@ def core_violations(
 ) -> list[CoreViolation]:
     """Constraints the payments violate beyond the tolerance (empty = in the core).
 
-    The constraints are checked as they are generated and only the violated
-    ones are kept, so the full list is never held in memory.
+    Each condition's slack is computed as ``CoreConstraint.slack`` computes
+    it, in ``core_constraints`` order, and a constraint object is built
+    only for a violated one.
     """
     values = _payment_values(payments, instance.n)
     violations = []
-    for constraint in _iter_core_constraints(instance):
-        slack = constraint.slack(values)
+    for coalition, payers, bound in _coalition_conditions(instance):
+        slack = sum(values[i - 1] for i in payers) - bound
         if slack < -CORE_TOLERANCE:
+            constraint = CoreConstraint("coalition", coalition, payers, bound)
             violations.append(CoreViolation(constraint, slack))
+    realized = instance.realized
+    for i, (cap, paid) in enumerate(zip(realized, values), start=1):
+        slack = cap - paid
+        if slack < -CORE_TOLERANCE:
+            single = frozenset({i})
+            violations.append(CoreViolation(CoreConstraint("ir", single, single, cap), slack))
+        if paid < -CORE_TOLERANCE:
+            single = frozenset({i})
+            violations.append(CoreViolation(CoreConstraint("nonneg", single, single, 0.0), paid))
     return violations
 
 
@@ -150,13 +179,15 @@ def project_to_mrc(
     result. When the global bidder wins, the unique minimum-revenue core
     point charges her the locals' joint value a + b.
     """
-    if c <= 1:
+    # Written so that NaN fails it too; c = inf, the L_inf metric, passes.
+    if not c > 1:
         raise ValueError(f"metric exponent must be > 1, got {c}")
     values = tuple(reference)
     if len(values) < 2:
         raise ValueError("reference must cover the two local bidders")
-    segment = llg_mrc_segment(profile)
-    if not segment.valid:
-        return PaymentVector((0.0, 0.0, profile.a + profile.b))
-    p1 = min(max(even_split(profile.g, values[0], values[1]), segment.p1_min), segment.p1_max)
-    return PaymentVector((p1, profile.g - p1, 0.0))
+    a, b, g = profile.a, profile.b, profile.g
+    if not profile.locals_win():
+        return PaymentVector((0.0, 0.0, a + b))
+    p1_min, p1_max = llg_segment_ends(a, b, g)
+    p1 = min(max(even_split(g, values[0], values[1]), p1_min), p1_max)
+    return PaymentVector((p1, g - p1, 0.0))

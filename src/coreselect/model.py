@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 MAX_BIDDERS = 12
 MAX_GOODS = 8
@@ -87,8 +87,9 @@ class LlgBidProfile:
 class AuctionInstance:
     """An auction with named goods and XOR bidders with ids 1..n, in order.
 
-    The efficient allocation, the realized bid values and the coalition
-    value table are solved on first use and kept on the instance; every
+    The efficient allocation, the realized bid values, the coalition value
+    table and both Shapley payoff vectors are solved on first use and kept
+    on the instance, as is each bidder's list of candidate awards; every
     payment rule and the core constraints read them from there.
     """
 
@@ -156,6 +157,16 @@ class AuctionInstance:
         """``coalition_value_table`` of the instance, solved once."""
         return tuple(coalition_value_table(self))
 
+    @cached_property
+    def shapley_values(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Shapley payoffs without and with the auctioneer as a player, solved once."""
+        return _shapley_payoffs(self.n, self.coalition_values)
+
+    @cached_property
+    def options(self) -> tuple:
+        """Each bidder's candidate awards (``_instance_options``), built once."""
+        return _instance_options(self)
+
 
 @dataclass
 class Allocation:
@@ -207,16 +218,47 @@ def _bidder_options(bidder: Bidder, good_index: dict[str, int]):
             mask |= 1 << index
         options.append((mask, value, bundle))
     options.append((0, 0.0, frozenset()))
-    return options
+    return tuple(options)
 
 
-def _instance_options(instance: AuctionInstance) -> list:
+def _instance_options(instance: AuctionInstance) -> tuple:
     """``_bidder_options`` of every bidder, in id order."""
     good_index = {good: i for i, good in enumerate(instance.goods)}
-    return [_bidder_options(bidder, good_index) for bidder in instance.bidders]
+    return tuple(_bidder_options(bidder, good_index) for bidder in instance.bidders)
 
 
-def _exhaustive_best(options: list) -> tuple[float, list[frozenset[str]]]:
+def _shapley_payoffs(
+    n: int, table: tuple[float, ...]
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Subset-weighted Shapley payoffs of both variants in one pass over the table.
+
+    Bidder i's payoff sums, over the coalitions S without i in mask order,
+    the weight of |S| times i's marginal value table[S + i] - table[S]. The
+    auctioneer, when counted as a player, zeroes every coalition without
+    her, which changes only the weights.
+    """
+    factorial = math.factorial
+    plain = [factorial(s) * factorial(n - s - 1) / factorial(n) for s in range(n)]
+    with_auctioneer = [
+        factorial(s + 1) * factorial(n - s - 1) / factorial(n + 1) for s in range(n)
+    ]
+    without, with_ = [], []
+    for i in range(n):
+        bit = 1 << i
+        total = total_with = 0.0
+        for mask in range(1 << n):
+            if mask & bit:
+                continue
+            size = mask.bit_count()
+            marginal = table[mask | bit] - table[mask]
+            total += plain[size] * marginal
+            total_with += with_auctioneer[size] * marginal
+        without.append(total)
+        with_.append(total_with)
+    return tuple(without), tuple(with_)
+
+
+def _exhaustive_best(options: Sequence) -> tuple[float, list[frozenset[str]]]:
     """Welfare-maximal feasible choice of one option per bidder.
 
     ``options`` holds the ``_bidder_options`` of the participating bidders
@@ -259,7 +301,7 @@ def _exhaustive_best(options: list) -> tuple[float, list[frozenset[str]]]:
 
 def winner_determination(instance: AuctionInstance) -> Allocation:
     """Efficient allocation of the full instance, with deterministic tie-breaking."""
-    welfare, choice = _exhaustive_best(_instance_options(instance))
+    welfare, choice = _exhaustive_best(instance.options)
     return Allocation(dict(zip(instance.bidder_ids(), choice)), welfare)
 
 
@@ -311,7 +353,7 @@ def coalition_value_table(instance: AuctionInstance) -> list[float]:
     """
     n = instance.n
     full = (1 << instance.m) - 1
-    options = _instance_options(instance)
+    options = instance.options
     digit_weights = [1] * n
     for i in range(n - 2, -1, -1):
         digit_weights[i] = digit_weights[i + 1] * len(options[i + 1])

@@ -29,13 +29,10 @@ class ReferenceRule(Enum):
     SHAPLEY_PAYMENT_WITH_AUCTIONEER = "shapley-with-auctioneer"
     SHAPLEY_PAYOFF_WITH_AUCTIONEER = "shapley-payoff-with-auctioneer"
 
-    @property
-    def is_payoff(self) -> bool:
-        return "payoff" in self.value
-
-    @property
-    def with_auctioneer(self) -> bool:
-        return "with-auctioneer" in self.value
+    def __init__(self, value: str) -> None:
+        # Plain attributes, set once per member, so dispatch does no string search.
+        self.is_payoff = "payoff" in value
+        self.with_auctioneer = "with-auctioneer" in value
 
 
 @dataclass(frozen=True)
@@ -66,19 +63,12 @@ def vcg(instance: AuctionInstance) -> PaymentVector:
     table = instance.coalition_values
     realized = instance.realized
     values = []
-    for i in instance.bidder_ids():
-        others_value = table[full & ~(1 << (i - 1))]
-        others_realized = sum(realized[j - 1] for j in instance.bidder_ids() if j != i)
+    for i in range(instance.n):
+        others_value = table[full & ~(1 << i)]
+        # The others' accepted values, summed in id order.
+        others_realized = sum(realized[:i] + realized[i + 1 :])
         values.append(others_value - others_realized)
     return PaymentVector(tuple(values))
-
-
-def _shapley_weights(n: int, with_auctioneer: bool) -> list[float]:
-    if with_auctioneer:
-        return [
-            factorial(s + 1) * factorial(n - s - 1) / factorial(n + 1) for s in range(n)
-        ]
-    return [factorial(s) * factorial(n - s - 1) / factorial(n) for s in range(n)]
 
 
 def shapley_payoffs(instance: AuctionInstance, with_auctioneer: bool = False) -> PaymentVector:
@@ -86,21 +76,10 @@ def shapley_payoffs(instance: AuctionInstance, with_auctioneer: bool = False) ->
 
     With ``with_auctioneer`` the auctioneer is an extra player whose absence
     zeroes every coalition, which only changes the subset weights for the
-    bidders themselves.
+    bidders themselves. Both variants come from one pass over the coalition
+    values, kept on the instance (``AuctionInstance.shapley_values``).
     """
-    n = instance.n
-    table = instance.coalition_values
-    weights = _shapley_weights(n, with_auctioneer)
-    payoffs = []
-    for i in range(n):
-        bit = 1 << i
-        total = 0.0
-        for mask in range(1 << n):
-            if mask & bit:
-                continue
-            total += weights[mask.bit_count()] * (table[mask | bit] - table[mask])
-        payoffs.append(total)
-    return PaymentVector(tuple(payoffs), kind="payoff")
+    return PaymentVector(instance.shapley_values[1 if with_auctioneer else 0], kind="payoff")
 
 
 def shapley_payments(instance: AuctionInstance, with_auctioneer: bool = False) -> PaymentVector:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import strategies as st
 
 from coreselect import AuctionInstance, Bid, Bidder, LlgBidProfile
@@ -37,3 +39,22 @@ def instances(draw, max_bidders: int = 4, max_goods: int = 3) -> AuctionInstance
         bidders.append(Bidder(i, bids))
     return AuctionInstance(goods, tuple(bidders))
 
+
+def twelve_bidder_instance() -> AuctionInstance:
+    """Fixed 12-bidder, 8-good instance with bids of one to three goods."""
+    rng = random.Random(2024)
+    goods = tuple(f"g{k}" for k in range(1, 9))
+    bidders = []
+    for i in range(1, 13):
+        bids = tuple(
+            Bid(frozenset(rng.sample(goods, rng.randint(1, 3))), rng.uniform(0.1, 1.0))
+            for _ in range(rng.randint(1, 3))
+        )
+        bidders.append(Bidder(i, bids))
+    return AuctionInstance(goods, tuple(bidders))
+
+
+def twelve_bidder_payments() -> tuple[float, ...]:
+    """Payments that violate many coalition constraints of ``twelve_bidder_instance``."""
+    rng = random.Random(12)
+    return tuple(rng.uniform(0.0, 0.2) for _ in range(12))

@@ -14,6 +14,7 @@ from coreselect import (
     winner_determination,
 )
 from coreselect.cli import main
+from helpers import twelve_bidder_instance, twelve_bidder_payments
 
 
 # Full stdout of `verify-table --seed 7 --samples 60`, so any change to a
@@ -32,6 +33,11 @@ VERIFY_TABLE_SEED_7_SAMPLES_60 = (
     "minimum-revenue projection: 200/200 checks passed\n"
     "all suites passed\n"
 )
+
+
+# sha256 of `core-check` stdout for the fixed 12-bidder instance and payments
+# in tests/helpers.py: 1,641 violations, 423,346 bytes.
+CORE_CHECK_TWELVE_BIDDERS_SHA256 = "62c1e1670a0d938df4a21f6dd9818699ccc998bf71828c4e9286ffdf82043731"
 
 
 def run(capsys, *argv):
@@ -127,11 +133,19 @@ class TestProjectAndSensitivity:
         assert not core_violations(instance, projected)
 
     def test_project_metric_validation(self, capsys):
-        code, _, err = run(
-            capsys, "project", "--llg", "0.4", "0.5", "0.8", "--rule", "vcg", "--metric", "1.0"
+        for metric in ("1.0", "nan"):
+            code, out, err = run(
+                capsys, "project", "--llg", "0.4", "0.5", "0.8", "--rule", "vcg", "--metric", metric
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and "metric exponent" in err, err
+        # inf is the L_inf metric and projects like every other c > 1.
+        code, out, _ = run(
+            capsys, "project", "--llg", "0.4", "0.5", "0.8", "--rule", "vcg", "--metric", "inf"
         )
-        assert code == 2
-        assert "error" in err
+        assert code == 0
+        assert out == "case=locals_weak p1=0.350000 p2=0.450000 p3=0.000000\n"
 
     def test_sensitivity_line(self, capsys):
         code, out, _ = run(
@@ -335,6 +349,32 @@ class TestCoreCheck:
         )
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "payments, bidder",
+        [(("nan", "nan", "0"), 1), (("inf", "0", "0"), 1), (("0.35", "0.45", "inf"), 3)],
+    )
+    def test_non_finite_payments_rejected(self, capsys, payments, bidder):
+        # NaN fails every slack comparison, so it would pass as in the core, and
+        # an infinite payment would print a slack that is not valid JSON.
+        code, out, err = run(
+            capsys, "core-check", "--llg", "0.4", "0.5", "0.8", "--payments", *payments
+        )
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and f"bidder {bidder} must be finite" in err, err
+
+    def test_twelve_bidder_bytes(self, capsys, tmp_path):
+        # Bounds and slacks are printed at full precision and summed in the
+        # frozensets' iteration order, which is not id order for every payer
+        # set, so the digest pins that order as well as the values.
+        path = tmp_path / "instance.json"
+        path.write_text(instance_to_json(twelve_bidder_instance()))
+        payments = [repr(value) for value in twelve_bidder_payments()]
+        code, out, _ = run(capsys, "core-check", "--instance", str(path), "--payments", *payments)
+        assert code == 1
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CORE_CHECK_TWELVE_BIDDERS_SHA256
 
 
 # Full stdout of `verify-table --seed 7 --samples 60` with both tolerances set

@@ -1,10 +1,13 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coreselect import (
     CaseLabel,
+    CoreViolation,
     LlgBidProfile,
     core_constraints,
     core_violations,
@@ -18,8 +21,15 @@ from coreselect import (
     shapley_payments,
     vcg,
 )
+from coreselect.core import CORE_TOLERANCE
 from coreselect.reference import ReferenceRule
-from helpers import llg_profiles
+from helpers import (
+    bounded_floats,
+    instances,
+    llg_profiles,
+    twelve_bidder_instance,
+    twelve_bidder_payments,
+)
 
 
 def constraint_for(constraints, kind, coalition):
@@ -79,6 +89,80 @@ class TestCoreMembership:
         with pytest.raises(ValueError):
             core_violations(llg_instance(0.4, 0.5, 0.8), (0.1, 0.2))
 
+    @pytest.mark.parametrize(
+        "payments, bidder",
+        [
+            ((math.nan, math.nan, 0.0), 1),
+            ((0.35, math.nan, 0.0), 2),
+            ((math.inf, 0.0, 0.0), 1),
+            ((0.35, 0.45, -math.inf), 3),
+        ],
+    )
+    def test_non_finite_payments_rejected(self, payments, bidder):
+        # NaN fails every slack comparison, so unchecked it would read as in the core.
+        instance = llg_instance(0.4, 0.5, 0.8)
+        for check in (core_violations, is_in_core):
+            with pytest.raises(ValueError, match=f"bidder {bidder} must be finite"):
+                check(instance, payments)
+
+
+def violation_bits(violations):
+    """Kind, coalition, payers in iteration order, and the float bits of bound and slack."""
+    return [
+        (
+            v.constraint.kind,
+            v.constraint.coalition,
+            tuple(v.constraint.payers),
+            v.constraint.bound.hex(),
+            v.slack.hex(),
+        )
+        for v in violations
+    ]
+
+
+def constraint_path(instance, payments):
+    """The violated ``core_constraints``, each with its ``slack``: the oracle for core_violations."""
+    return [
+        CoreViolation(c, c.slack(payments))
+        for c in core_constraints(instance)
+        if c.slack(payments) < -CORE_TOLERANCE
+    ]
+
+
+class TestViolationsMatchConstraints:
+    """``core_violations`` equals the constraint objects' own check, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), instance=instances(max_bidders=12, max_goods=4))
+    def test_random_instances(self, data, instance):
+        payments = data.draw(
+            st.lists(bounded_floats(0.0, 5.0), min_size=instance.n, max_size=instance.n)
+        )
+        expected = constraint_path(instance, payments)
+        found = core_violations(instance, payments)
+        assert found == expected
+        assert violation_bits(found) == violation_bits(expected)
+
+    def test_twelve_bidders_with_unordered_payer_sets(self):
+        instance = twelve_bidder_instance()
+        payments = twelve_bidder_payments()
+        expected = constraint_path(instance, payments)
+        found = core_violations(instance, payments)
+        assert found == expected
+        assert violation_bits(found) == violation_bits(expected)
+        # The check is only as strong as its sums are order sensitive: some
+        # violated payer sets iterate out of id order, and for some of them
+        # the ascending-order sum gives a different slack.
+        unordered = [
+            v for v in found if v.constraint.kind == "coalition"
+            and list(v.constraint.payers) != sorted(v.constraint.payers)
+        ]
+        assert any(
+            sum(payments[i - 1] for i in sorted(v.constraint.payers)) - v.constraint.bound
+            != v.slack
+            for v in unordered
+        )
+
 
 class TestMrcSegment:
     def test_locals_weak(self):
@@ -125,14 +209,16 @@ class TestProjection:
         assert projected.values == pytest.approx((0.0, 0.0, 0.5), abs=1e-12)
 
     def test_metric_exponent_validated(self):
-        with pytest.raises(ValueError):
-            project_to_mrc(LlgBidProfile(0.4, 0.5, 0.8), (0.3, 0.4), c=1.0)
+        for c in (1.0, 0.5, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                project_to_mrc(LlgBidProfile(0.4, 0.5, 0.8), (0.3, 0.4), c=c)
 
     def test_metric_independence(self):
         profile = LlgBidProfile(0.4, 0.5, 0.8)
         reference = (0.1, 0.7)
         baseline = project_to_mrc(profile, reference, c=2.0)
-        for c in (1.5, 3.0, 8.0):
+        # c = inf is the L_inf metric, a valid member of the family.
+        for c in (1.5, 3.0, 8.0, math.inf):
             assert project_to_mrc(profile, reference, c=c) == baseline
 
     def test_first_price_projects_downward(self):

@@ -1,8 +1,10 @@
 import random
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 
+import coreselect.reference
 from coreselect import (
     AuctionInstance,
     Bid,
@@ -186,6 +188,81 @@ class TestDispatch:
         )
 
 
+def shapley_payoffs_one_variant(instance, with_auctioneer):
+    """One variant's subset-weighted payoffs, one pass per variant: the cache's oracle."""
+    n = instance.n
+    table = instance.coalition_values
+    if with_auctioneer:
+        weights = [factorial(s + 1) * factorial(n - s - 1) / factorial(n + 1) for s in range(n)]
+    else:
+        weights = [factorial(s) * factorial(n - s - 1) / factorial(n) for s in range(n)]
+    payoffs = []
+    for i in range(n):
+        bit = 1 << i
+        total = 0.0
+        for mask in range(1 << n):
+            if mask & bit:
+                continue
+            total += weights[mask.bit_count()] * (table[mask | bit] - table[mask])
+        payoffs.append(total)
+    return tuple(payoffs)
+
+
+class TestShapleyCache:
+    @settings(max_examples=60, deadline=None)
+    @given(instance=instances(max_bidders=6, max_goods=4))
+    def test_both_variants_equal_per_variant_passes(self, instance):
+        for with_auctioneer in (False, True):
+            expected = shapley_payoffs_one_variant(instance, with_auctioneer)
+            cached = instance.shapley_values[1 if with_auctioneer else 0]
+            assert cached == expected
+            assert [x.hex() for x in cached] == [x.hex() for x in expected]
+            assert shapley_payoffs(instance, with_auctioneer).values == expected
+
+    def test_repeated_calls_equal_fresh_instances(self):
+        rng = random.Random(8)
+        for _ in range(20):
+            instance = random_instance(rng)
+
+            def fresh():
+                return AuctionInstance(instance.goods, instance.bidders)
+
+            for with_auctioneer in (False, True):
+                expected_payoffs = shapley_payoffs(fresh(), with_auctioneer)
+                expected_payments = shapley_payments(fresh(), with_auctioneer)
+                for _ in range(3):
+                    assert shapley_payoffs(instance, with_auctioneer) == expected_payoffs
+                    assert shapley_payments(instance, with_auctioneer) == expected_payments
+
+
+class TestDispatchTraceable:
+    """reference_point calls the rules through their module names, so wrappers see the calls."""
+
+    def test_reaches_patched_rules(self, monkeypatch):
+        calls = []
+
+        def sentinel(name):
+            def rule(instance, *args):
+                calls.append((name, args))
+                return name
+
+            return rule
+
+        for name in ("first_price", "vcg", "shapley_payoffs", "shapley_payments"):
+            monkeypatch.setattr(coreselect.reference, name, sentinel(name))
+        instance = llg_instance(0.4, 0.5, 0.8)
+        got = [reference_point(instance, rule) for rule in ReferenceRule]
+        assert got == [name for name, _ in calls]
+        assert calls == [
+            ("first_price", ()),
+            ("vcg", ()),
+            ("shapley_payments", (False,)),
+            ("shapley_payoffs", (False,)),
+            ("shapley_payments", (True,)),
+            ("shapley_payoffs", (True,)),
+        ]
+
+
 class TestSolvedOnce:
     @settings(max_examples=60, deadline=None)
     @given(instance=instances())
@@ -201,6 +278,8 @@ class TestSolvedOnce:
             for rule in ReferenceRule:
                 point = reference_point(instance, rule)
                 assert (point, core_violations(instance, point)) == expected[rule]
+        cached = ("allocation", "realized", "coalition_values", "shapley_values", "options")
+        assert all(name in vars(instance) for name in cached)
         assert instance == fresh()
         assert hash(instance) == hash(fresh())
         assert repr(instance) == repr(fresh())
