@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from types import SimpleNamespace
 from typing import Iterable
 
 from .core import core_violations, project_to_mrc
@@ -46,12 +47,34 @@ _SVG_PALETTE = (
 SVG_SIZE = 640
 
 
+def _reads_as_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """Reads a "-"-prefixed token as a value whenever ``float()`` reads it.
+
+    argparse's own negative-number pattern takes only plain decimals, so
+    "-1e-05", the way ``repr`` prints a small negative, and "-inf" would be
+    taken for unknown options; these reach the options' own checks instead.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse only ever calls .match(token) on its negative-number pattern.
+        self._negative_number_matcher = SimpleNamespace(match=_reads_as_float)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coreselect",
         description="Core-selecting payment rules for small combinatorial auctions.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     def add_llg(p: argparse.ArgumentParser) -> None:
         p.add_argument(

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .model import AuctionInstance, LlgBidProfile
-from .reference import PaymentVector
 
 CORE_TOLERANCE = 1e-9
 
@@ -49,21 +48,7 @@ class CoreViolation:
     slack: float
 
 
-@dataclass(frozen=True)
-class MrcSegment:
-    """Minimum-revenue core of an LLG instance, as an interval for local bidder 1.
-
-    When valid (the locals win), every payment vector (p1, g - p1, 0) with
-    p1 in [p1_min, p1_max] is in the core and has the minimal revenue g.
-    """
-
-    g: float
-    p1_min: float
-    p1_max: float
-    valid: bool
-
-
-def _payment_values(payments: PaymentVector | Sequence[float], n: int) -> tuple[float, ...]:
+def _payment_values(payments: Sequence[float], n: int) -> tuple[float, ...]:
     values = tuple(payments)
     if len(values) != n:
         raise ValueError(f"payment vector has {len(values)} entries, expected {n}")
@@ -113,7 +98,7 @@ def core_constraints(instance: AuctionInstance) -> list[CoreConstraint]:
 
 
 def core_violations(
-    instance: AuctionInstance, payments: PaymentVector | Sequence[float]
+    instance: AuctionInstance, payments: Sequence[float]
 ) -> list[CoreViolation]:
     """Constraints the payments violate beyond the tolerance (empty = in the core).
 
@@ -140,24 +125,19 @@ def core_violations(
     return violations
 
 
-def is_in_core(instance: AuctionInstance, payments: PaymentVector | Sequence[float]) -> bool:
+def is_in_core(instance: AuctionInstance, payments: Sequence[float]) -> bool:
     return not core_violations(instance, payments)
 
 
-def llg_mrc_segment(profile: LlgBidProfile) -> MrcSegment:
-    """Minimum-revenue core segment of the LLG instance for the profile.
-
-    Valid exactly when the locals win (``profile.locals_win()``). The ends
-    come from the two mixed blocking coalitions: p1 >= max(0, g - b) and
-    p1 <= min(a, g), the latter also being bidder 1's rationality cap when
-    a <= g.
-    """
-    p1_min, p1_max = llg_segment_ends(profile.a, profile.b, profile.g)
-    return MrcSegment(g=profile.g, p1_min=p1_min, p1_max=p1_max, valid=profile.locals_win())
-
-
 def llg_segment_ends(a: float, b: float, g: float) -> tuple[float, float]:
-    """The ends (p1_min, p1_max) of the minimum-revenue core segment, from bare bids."""
+    """The ends (p1_min, p1_max) of the LLG minimum-revenue core segment.
+
+    Where the locals win (``LlgBidProfile.locals_win``), every payment
+    vector (p1, g - p1, 0) with p1 in [p1_min, p1_max] is in the core and
+    has the minimal revenue g. The ends come from the two mixed blocking
+    coalitions: p1 >= max(0, g - b) and p1 <= min(a, g), the latter also
+    being bidder 1's rationality cap when a <= g.
+    """
     return max(0.0, g - b), min(a, g)
 
 
@@ -168,9 +148,9 @@ def even_split(g: float, r1: float, r2: float) -> float:
 
 def project_to_mrc(
     profile: LlgBidProfile,
-    reference: PaymentVector | Sequence[float],
+    reference: Sequence[float],
     c: float = 2.0,
-) -> PaymentVector:
+) -> tuple[float, ...]:
     """Nearest minimum-revenue-core point to the reference, under any L_c metric.
 
     For every c > 1 the nearest point on the segment is the even split of the
@@ -187,7 +167,7 @@ def project_to_mrc(
         raise ValueError("reference must cover the two local bidders")
     a, b, g = profile.a, profile.b, profile.g
     if not profile.locals_win():
-        return PaymentVector((0.0, 0.0, a + b))
+        return (0.0, 0.0, a + b)
     p1_min, p1_max = llg_segment_ends(a, b, g)
     p1 = min(max(even_split(g, values[0], values[1]), p1_min), p1_max)
-    return PaymentVector((p1, g - p1, 0.0))
+    return (p1, g - p1, 0.0)

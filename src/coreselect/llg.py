@@ -21,9 +21,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
-from .core import even_split, llg_mrc_segment, llg_segment_ends, project_to_mrc
+from .core import even_split, llg_segment_ends, project_to_mrc
 from .model import LlgBidProfile, llg_instance
-from .reference import PaymentVector, ReferenceRule, reference_point
+from .reference import ReferenceRule, reference_point
 
 BOUNDARY_TOLERANCE = 1e-9
 
@@ -219,7 +219,7 @@ def closed_form_for_case(
     return form(profile.a, profile.b, profile.g)
 
 
-def closed_form_reference(profile: LlgBidProfile, rule: ReferenceRule) -> PaymentVector:
+def closed_form_reference(profile: LlgBidProfile, rule: ReferenceRule) -> tuple[float, float]:
     """Tabulated (p1, p2) of the rule for the two local bidders.
 
     Payments for the payment rules, payoffs for the payoff rules. Valid on
@@ -227,7 +227,7 @@ def closed_form_reference(profile: LlgBidProfile, rule: ReferenceRule) -> Paymen
     """
     a, b, g = profile.a, profile.b, profile.g
     form, _, _ = _BY_RULE[id(rule)][_case_index(a, b, g)]
-    return PaymentVector(form(a, b, g), kind="payoff" if rule.is_payoff else "payment")
+    return form(a, b, g)
 
 
 def sensitivity_fraction(case: CaseLabel, rule: ReferenceRule) -> Fraction:
@@ -298,24 +298,21 @@ def numeric_derivative(
     minimum-revenue projection; it is piecewise linear, so away from kinks
     the central difference is exact up to rounding. Requires the profile to
     be at distance greater than 10 h from every case boundary and from the
-    segment-end kinks of the projection.
+    segment-end kinks of the projection. ``h`` defaults to 1e-5 * max(1, |a|);
+    one that is not finite and positive, or too small to change a, is a
+    ``ValueError``.
     """
     a, b, g = profile.a, profile.b, profile.g
-    if not profile.locals_win():
-        raise GlobalWinnerError(f"global bidder wins at (a, b, g) = ({a}, {b}, {g})")
     if h is None:
         h = 1e-5 * max(1.0, abs(a))
+    elif not (math.isfinite(h) and h > 0 and a - h < a < a + h):
+        raise ValueError(f"step must be finite, positive and change a = {a}, got {h}")
+    if not profile.locals_win():
+        raise GlobalWinnerError(f"global bidder wins at (a, b, g) = ({a}, {b}, {g})")
     p1, p2 = closed_form_reference(profile, rule)
     split = even_split(g, p1, p2)
-    segment = llg_mrc_segment(profile)
-    margins = (
-        a + b - g,
-        abs(a - g),
-        abs(b - g),
-        a,
-        abs(split - segment.p1_min),
-        abs(split - segment.p1_max),
-    )
+    p1_min, p1_max = llg_segment_ends(a, b, g)
+    margins = (a + b - g, abs(a - g), abs(b - g), a, abs(split - p1_min), abs(split - p1_max))
     if min(margins) <= 10 * h:
         raise BoundaryProximityError(
             f"profile within 10h of a case or region boundary (margin {min(margins):.3g}, h {h:.3g})"
@@ -323,7 +320,7 @@ def numeric_derivative(
 
     def pinned_payment(x: float) -> float:
         shifted = LlgBidProfile(x, b, g)
-        return project_to_mrc(shifted, reference_point(llg_instance(x, b, g), rule)).values[0]
+        return project_to_mrc(shifted, reference_point(llg_instance(x, b, g), rule))[0]
 
     return (pinned_payment(a + h) - pinned_payment(a - h)) / (2 * h)
 

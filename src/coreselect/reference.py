@@ -5,11 +5,13 @@ and without the auctioneer counted as a player. Shapley payments are the
 bidder's accepted bid value minus her payoff and are deliberately not clamped,
 so losing bidders can carry a negative entry; the vectors are reference points
 for a later core projection, not final prices.
+
+Every vector is a plain ``tuple[float, ...]`` indexed by bidder id, id i at
+position i - 1. The two payoff rules return payoffs, the other four payments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
 from math import factorial
@@ -35,29 +37,12 @@ class ReferenceRule(Enum):
         self.with_auctioneer = "with-auctioneer" in value
 
 
-@dataclass(frozen=True)
-class PaymentVector:
-    """Per-bidder payments or payoffs, indexed by bidder id (id i at position i-1)."""
-
-    values: tuple[float, ...]
-    kind: str = "payment"
-
-    def __getitem__(self, index: int) -> float:
-        return self.values[index]
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def first_price(instance: AuctionInstance) -> PaymentVector:
+def first_price(instance: AuctionInstance) -> tuple[float, ...]:
     """Winners pay their accepted bid; losers pay nothing."""
-    return PaymentVector(instance.realized)
+    return instance.realized
 
 
-def vcg(instance: AuctionInstance) -> PaymentVector:
+def vcg(instance: AuctionInstance) -> tuple[float, ...]:
     """Each bidder pays the externality she imposes on the others."""
     full = (1 << instance.n) - 1
     table = instance.coalition_values
@@ -68,10 +53,10 @@ def vcg(instance: AuctionInstance) -> PaymentVector:
         # The others' accepted values, summed in id order.
         others_realized = sum(realized[:i] + realized[i + 1 :])
         values.append(others_value - others_realized)
-    return PaymentVector(tuple(values))
+    return tuple(values)
 
 
-def shapley_payoffs(instance: AuctionInstance, with_auctioneer: bool = False) -> PaymentVector:
+def shapley_payoffs(instance: AuctionInstance, with_auctioneer: bool = False) -> tuple[float, ...]:
     """Subset-weighted average marginal contribution of each bidder.
 
     With ``with_auctioneer`` the auctioneer is an extra player whose absence
@@ -79,13 +64,13 @@ def shapley_payoffs(instance: AuctionInstance, with_auctioneer: bool = False) ->
     bidders themselves. Both variants come from one pass over the coalition
     values, kept on the instance (``AuctionInstance.shapley_values``).
     """
-    return PaymentVector(instance.shapley_values[1 if with_auctioneer else 0], kind="payoff")
+    return instance.shapley_values[1 if with_auctioneer else 0]
 
 
-def shapley_payments(instance: AuctionInstance, with_auctioneer: bool = False) -> PaymentVector:
+def shapley_payments(instance: AuctionInstance, with_auctioneer: bool = False) -> tuple[float, ...]:
     """Accepted-bid value minus the Shapley payoff, computed on reported bids."""
     payoffs = shapley_payoffs(instance, with_auctioneer)
-    return PaymentVector(tuple(value - payoff for value, payoff in zip(instance.realized, payoffs)))
+    return tuple(value - payoff for value, payoff in zip(instance.realized, payoffs))
 
 
 def auctioneer_payoff(instance: AuctionInstance) -> float:
@@ -105,7 +90,7 @@ def auctioneer_payoff(instance: AuctionInstance) -> float:
 
 def shapley_payoffs_by_enumeration(
     instance: AuctionInstance, with_auctioneer: bool = False
-) -> PaymentVector:
+) -> tuple[float, ...]:
     """Average marginal contribution over every arrival order.
 
     Independent cross-check for the subset-weighted computation; factorial in
@@ -138,7 +123,7 @@ def shapley_payoffs_by_enumeration(
                     totals[i] += table[mask | (1 << i)] - table[mask]
                 mask |= 1 << i
         count = factorial(n + 1)
-    return PaymentVector(tuple(total / count for total in totals), kind="payoff")
+    return tuple(total / count for total in totals)
 
 
 def auctioneer_payoff_by_enumeration(instance: AuctionInstance) -> float:
@@ -160,7 +145,7 @@ def auctioneer_payoff_by_enumeration(instance: AuctionInstance) -> float:
     return total / factorial(n + 1)
 
 
-def reference_point(instance: AuctionInstance, rule: ReferenceRule) -> PaymentVector:
+def reference_point(instance: AuctionInstance, rule: ReferenceRule) -> tuple[float, ...]:
     """Evaluate one of the six reference rules on an instance."""
     if rule is ReferenceRule.FIRST_PRICE:
         return first_price(instance)

@@ -204,8 +204,8 @@ def shapley_axiom_suite(instances: int = 1000, seed: int = DEFAULT_SEED) -> Suit
         total_value = instance.coalition_values[-1]
         without = shapley_payoffs(instance, with_auctioneer=False)
         with_a = shapley_payoffs(instance, with_auctioneer=True)
-        ok = abs(sum(without.values) - total_value) <= EQUIVALENCE_TOLERANCE
-        ok = ok and abs(sum(with_a.values) + auctioneer_payoff(instance) - total_value) <= EQUIVALENCE_TOLERANCE
+        ok = abs(sum(without) - total_value) <= EQUIVALENCE_TOLERANCE
+        ok = ok and abs(sum(with_a) + auctioneer_payoff(instance) - total_value) <= EQUIVALENCE_TOLERANCE
         result.check(ok)
         efficiency_failures += not ok
     if efficiency_failures:
@@ -219,9 +219,7 @@ def shapley_axiom_suite(instances: int = 1000, seed: int = DEFAULT_SEED) -> Suit
         for with_auctioneer in (False, True):
             fast = shapley_payoffs(instance, with_auctioneer)
             slow = shapley_payoffs_by_enumeration(instance, with_auctioneer)
-            ok = ok and all(
-                abs(x - y) <= EQUIVALENCE_TOLERANCE for x, y in zip(fast.values, slow.values)
-            )
+            ok = ok and all(abs(x - y) <= EQUIVALENCE_TOLERANCE for x, y in zip(fast, slow))
         ok = ok and abs(
             auctioneer_payoff(instance) - auctioneer_payoff_by_enumeration(instance)
         ) <= EQUIVALENCE_TOLERANCE
@@ -245,11 +243,9 @@ def projection_suite(samples_per_case: int = 250, seed: int = DEFAULT_SEED) -> S
             for rule in ReferenceRule:
                 projected = project_to_mrc(profile, reference_point(instance, rule))
                 checks_ok = checks_ok and not core_violations(instance, projected)
-                checks_ok = checks_ok and abs(
-                    projected.values[0] + projected.values[1] - profile.g
-                ) <= 1e-12
+                checks_ok = checks_ok and abs(projected[0] + projected[1] - profile.g) <= 1e-12
                 again = project_to_mrc(profile, projected)
-                checks_ok = checks_ok and abs(again.values[0] - projected.values[0]) <= 1e-12
+                checks_ok = checks_ok and abs(again[0] - projected[0]) <= 1e-12
             result.check(
                 checks_ok,
                 lambda: f"projection properties failed at (a={profile.a:.6f}, b={profile.b:.6f})",
@@ -259,6 +255,8 @@ def projection_suite(samples_per_case: int = 250, seed: int = DEFAULT_SEED) -> S
 
 def run_all(samples_per_case: int = 1000, seed: int = DEFAULT_SEED) -> list[SuiteResult]:
     """Run every suite with per-suite derived seeds; deterministic for a given seed."""
+    if samples_per_case < 1:
+        raise ValueError(f"samples per case must be at least 1, got {samples_per_case}")
     return [
         closed_form_table_suite(samples_per_case, seed),
         sensitivity_consistency_suite(seed + 1),

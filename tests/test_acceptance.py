@@ -276,8 +276,8 @@ def test_criterion_5_shapley_axioms():
     for _ in range(1000):
         instance = random_instance(rng, max_bidders=5)
         total = coalition_value_table(instance)[-1]
-        without = sum(shapley_payoffs(instance).values)
-        with_a = sum(shapley_payoffs(instance, True).values) + auctioneer_payoff(instance)
+        without = sum(shapley_payoffs(instance))
+        with_a = sum(shapley_payoffs(instance, True)) + auctioneer_payoff(instance)
         if abs(without - total) <= 1e-9 and abs(with_a - total) <= 1e-9:
             efficiency_ok += 1
 
@@ -290,7 +290,7 @@ def test_criterion_5_shapley_axioms():
             fast = shapley_payoffs(instance, with_auctioneer)
             slow = shapley_payoffs_by_enumeration(instance, with_auctioneer)
             good = good and all(
-                abs(x - y) <= 1e-9 for x, y in zip(fast.values, slow.values)
+                abs(x - y) <= 1e-9 for x, y in zip(fast, slow)
             )
         good = good and abs(
             auctioneer_payoff(instance) - auctioneer_payoff_by_enumeration(instance)
@@ -357,7 +357,7 @@ def test_criterion_8_projection_core_membership_and_region_map():
                 total += 1
                 in_core += not core_violations(instance, projected)
                 revenue_exact += (
-                    abs(projected.values[0] + projected.values[1] - profile.g) <= 1e-12
+                    abs(projected[0] + projected[1] - profile.g) <= 1e-12
                 )
 
     start = time.perf_counter()

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 
@@ -13,6 +14,7 @@ from coreselect import (
     reference_point,
     winner_determination,
 )
+import coreselect.cli
 from coreselect.cli import main
 from helpers import twelve_bidder_instance, twelve_bidder_payments
 
@@ -66,6 +68,48 @@ class TestParsing:
         with pytest.raises(SystemExit) as excinfo:
             main(["payments", "--llg", "0.4", "x", "0.8", "--rule", "vcg"])
         assert excinfo.value.code == 2
+
+
+class TestNegativeNumbers:
+    """A "-"-prefixed token that float() reads is a value, never an option."""
+
+    def test_exponent_notation_reads_as_decimal(self, capsys):
+        llg = ("core-check", "--llg", "0.4", "0.5", "0.8", "--payments", "0.35")
+        exponent = run(capsys, *llg, "-1e-3", "0")
+        decimal = run(capsys, *llg, "-0.001", "0")
+        assert exponent == decimal
+        assert exponent[0] == 1
+
+    def test_exponent_notation_bid_reaches_bid_check(self, capsys):
+        code, out, err = run(
+            capsys, "core-check", "--llg", "-1e-3", "0.5", "0.8", "--payments", "0", "0", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "LLG bid a" in err, err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "payments",
+            "project",
+            "sensitivity",
+            "derivative",
+            "region-map",
+            "verify-table",
+            "core-check",
+        ],
+    )
+    def test_help_matches_plain_argparse(self, capsys, monkeypatch, command):
+        def help_text():
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, "--help"])
+            assert excinfo.value.code == 0
+            return capsys.readouterr().out
+
+        ours = help_text()
+        monkeypatch.setattr(coreselect.cli, "_SubcommandParser", argparse.ArgumentParser)
+        assert ours == help_text()
 
 
 class TestPayments:
@@ -165,6 +209,16 @@ class TestDerivative:
         code, _, err = run(capsys, "derivative", "--llg", "0.2", "0.3", "0.9", "--rule", "vcg")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("step", ["0", "-0.3", "nan", "1e-300"])
+    def test_invalid_step_is_usage_error(self, capsys, step):
+        code, out, err = run(
+            capsys, "derivative", "--llg", "0.4", "0.5", "0.8", "--rule", "vcg", "--step", step
+        )
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and "step" in err, err
 
     def test_boundary_reports_numeric_na(self, capsys):
         code, out, _ = run(
@@ -352,7 +406,13 @@ class TestCoreCheck:
 
     @pytest.mark.parametrize(
         "payments, bidder",
-        [(("nan", "nan", "0"), 1), (("inf", "0", "0"), 1), (("0.35", "0.45", "inf"), 3)],
+        [
+            (("nan", "nan", "0"), 1),
+            (("inf", "0", "0"), 1),
+            (("0.35", "0.45", "inf"), 3),
+            # A "-"-prefixed float token is a value, so "-inf" reaches this check.
+            (("0.35", "-inf", "0"), 2),
+        ],
     )
     def test_non_finite_payments_rejected(self, capsys, payments, bidder):
         # NaN fails every slack comparison, so it would pass as in the core, and
@@ -563,6 +623,13 @@ class TestVerifyTable:
         assert "closed-form reference table: 24/24 cells passed" in out
         assert "all suites passed" in out
         assert out == VERIFY_TABLE_SEED_7_SAMPLES_60
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_no_samples_is_usage_error(self, capsys, samples):
+        code, out, err = run(capsys, "verify-table", "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "samples" in err, err
 
     def test_deterministic_output(self, capsys):
         outputs = []

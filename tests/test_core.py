@@ -14,7 +14,7 @@ from coreselect import (
     first_price,
     is_in_core,
     llg_instance,
-    llg_mrc_segment,
+    llg_segment_ends,
     project_to_mrc,
     reference_point,
     sample_llg_profile,
@@ -164,49 +164,58 @@ class TestViolationsMatchConstraints:
         )
 
 
+class TestPaymentSequences:
+    def test_list_and_tuple_give_equal_violations(self):
+        instance = twelve_bidder_instance()
+        payments = twelve_bidder_payments()
+        found = core_violations(instance, tuple(payments))
+        assert found
+        assert core_violations(instance, list(payments)) == found
+
+
 class TestMrcSegment:
     def test_locals_weak(self):
-        segment = llg_mrc_segment(LlgBidProfile(0.4, 0.5, 0.8))
-        assert segment.valid
-        assert segment.p1_min == pytest.approx(0.3)
-        assert segment.p1_max == pytest.approx(0.4)
+        assert LlgBidProfile(0.4, 0.5, 0.8).locals_win()
+        p1_min, p1_max = llg_segment_ends(0.4, 0.5, 0.8)
+        assert p1_min == pytest.approx(0.3)
+        assert p1_max == pytest.approx(0.4)
 
     def test_locals_strong(self):
-        segment = llg_mrc_segment(LlgBidProfile(1.2, 1.1, 0.8))
-        assert segment.valid
-        assert segment.p1_min == 0.0
-        assert segment.p1_max == pytest.approx(0.8)
+        assert LlgBidProfile(1.2, 1.1, 0.8).locals_win()
+        p1_min, p1_max = llg_segment_ends(1.2, 1.1, 0.8)
+        assert p1_min == 0.0
+        assert p1_max == pytest.approx(0.8)
 
     def test_global_winner_invalid(self):
-        assert not llg_mrc_segment(LlgBidProfile(0.2, 0.3, 0.9)).valid
+        assert not LlgBidProfile(0.2, 0.3, 0.9).locals_win()
 
     @settings(max_examples=100, deadline=None)
     @given(profile=llg_profiles())
     def test_segment_ordered_when_valid(self, profile):
-        segment = llg_mrc_segment(profile)
-        if segment.valid:
-            assert segment.p1_min <= segment.p1_max + 1e-12
+        p1_min, p1_max = llg_segment_ends(profile.a, profile.b, profile.g)
+        if profile.locals_win():
+            assert p1_min <= p1_max + 1e-12
 
 
 class TestProjection:
     def test_vcg_nearest(self):
         profile = LlgBidProfile(0.4, 0.5, 0.8)
         projected = project_to_mrc(profile, vcg(profile.to_instance()))
-        assert projected.values == pytest.approx((0.35, 0.45, 0.0), abs=1e-12)
+        assert projected == pytest.approx((0.35, 0.45, 0.0), abs=1e-12)
 
     def test_shapley_nearest(self):
         profile = LlgBidProfile(0.4, 0.5, 0.8)
         projected = project_to_mrc(profile, shapley_payments(profile.to_instance()))
-        assert projected.values == pytest.approx((0.375, 0.425, 0.0), abs=1e-12)
+        assert projected == pytest.approx((0.375, 0.425, 0.0), abs=1e-12)
 
     def test_clamped_to_bid_cap(self):
         profile = LlgBidProfile(0.2, 1.0, 0.8)
         projected = project_to_mrc(profile, shapley_payments(profile.to_instance()))
-        assert projected.values == pytest.approx((0.2, 0.6, 0.0), abs=1e-12)
+        assert projected == pytest.approx((0.2, 0.6, 0.0), abs=1e-12)
 
     def test_global_winner_branch(self):
         projected = project_to_mrc(LlgBidProfile(0.2, 0.3, 0.9), (0.0, 0.0, 0.9))
-        assert projected.values == pytest.approx((0.0, 0.0, 0.5), abs=1e-12)
+        assert projected == pytest.approx((0.0, 0.0, 0.5), abs=1e-12)
 
     def test_metric_exponent_validated(self):
         for c in (1.0, 0.5, -math.inf, math.nan):
@@ -232,8 +241,8 @@ class TestProjection:
                     max(0.5 * (profile.g + profile.a - profile.b), max(0.0, profile.g - profile.b)),
                     min(profile.a, profile.g),
                 )
-                assert projected.values[0] == pytest.approx(expected, abs=1e-12)
-                assert sum(projected.values) <= profile.a + profile.b + 1e-12
+                assert projected[0] == pytest.approx(expected, abs=1e-12)
+                assert sum(projected) <= profile.a + profile.b + 1e-12
 
     @settings(max_examples=80, deadline=None)
     @given(profile=llg_profiles())
@@ -242,9 +251,9 @@ class TestProjection:
             return
         instance = profile.to_instance()
         projected = project_to_mrc(profile, vcg(instance))
-        assert projected.values[0] + projected.values[1] == pytest.approx(profile.g, abs=1e-12)
+        assert projected[0] + projected[1] == pytest.approx(profile.g, abs=1e-12)
         again = project_to_mrc(profile, projected)
-        assert again.values == pytest.approx(projected.values, abs=1e-12)
+        assert again == pytest.approx(projected, abs=1e-12)
 
     def test_outputs_in_core_all_rules(self):
         rng = random.Random(13)
@@ -262,4 +271,4 @@ class TestProjection:
             for _ in range(50):
                 profile = sample_llg_profile(rng, case)
                 payments = shapley_payments(profile.to_instance())
-                assert payments.values[0] + payments.values[1] <= profile.g + 1e-12
+                assert payments[0] + payments[1] <= profile.g + 1e-12

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -58,7 +59,6 @@ class TestClosedForms:
         vector = closed_form_reference(
             LlgBidProfile(0.4, 0.5, 0.8), R.SHAPLEY_PAYMENT_NO_AUCTIONEER
         )
-        assert vector.kind == "payment"
         p1, p2 = vector
         assert p1 == pytest.approx(0.4 / 6 - 0.5 / 3 + 0.8 / 3, abs=TOL)
         assert p2 == pytest.approx(-0.4 / 3 + 0.5 / 6 + 0.8 / 3, abs=TOL)
@@ -73,8 +73,7 @@ class TestClosedForms:
         vector = closed_form_reference(
             LlgBidProfile(1.2, 1.1, 0.8), R.SHAPLEY_PAYOFF_NO_AUCTIONEER
         )
-        assert vector.kind == "payoff"
-        assert tuple(vector) == pytest.approx((1.2 - 0.8 / 6, 1.1 - 0.8 / 6), abs=TOL)
+        assert vector == pytest.approx((1.2 - 0.8 / 6, 1.1 - 0.8 / 6), abs=TOL)
 
     def test_matches_engine_each_case(self):
         rng = random.Random(23)
@@ -85,7 +84,7 @@ class TestClosedForms:
                 for rule in R:
                     closed = closed_form_reference(profile, rule)
                     engine = reference_point(instance, rule)
-                    assert closed == pytest.approx(engine.values[:2], abs=TOL)
+                    assert closed == pytest.approx(engine[:2], abs=TOL)
 
     def test_boundary_continuity_between_cases(self):
         rng = random.Random(29)
@@ -249,6 +248,13 @@ class TestNumericDerivative:
     def test_proximity_rejected(self):
         with pytest.raises(BoundaryProximityError):
             numeric_derivative(LlgBidProfile(0.800001, 0.5, 0.8), R.VCG, h=1e-5)
+
+    @pytest.mark.parametrize("h", [0.0, -0.3, math.nan, 1e-300, math.inf])
+    def test_invalid_step_rejected(self, h):
+        # A plain ValueError: the proximity error would be reported as n/a.
+        with pytest.raises(ValueError, match="step") as excinfo:
+            numeric_derivative(LlgBidProfile(0.4, 0.5, 0.8), R.VCG, h=h)
+        assert not isinstance(excinfo.value, BoundaryProximityError)
 
     def test_agrees_in_zero_floor_zone(self):
         profile = LlgBidProfile(0.2, 1.8, 1.0)

@@ -9,12 +9,15 @@ from coreselect import (
     AuctionInstance,
     Bid,
     Bidder,
+    LlgBidProfile,
     SizeLimitError,
     auctioneer_payoff,
+    closed_form_reference,
     coalitional_value,
     core_violations,
     first_price,
     llg_instance,
+    project_to_mrc,
     reference_point,
     shapley_payments,
     shapley_payoffs,
@@ -37,13 +40,13 @@ def approx_vector(values, expected, tol=TOL):
 
 class TestFirstPrice:
     def test_locals_win(self):
-        approx_vector(first_price(llg_instance(0.4, 0.5, 0.8)).values, (0.4, 0.5, 0.0))
+        approx_vector(first_price(llg_instance(0.4, 0.5, 0.8)), (0.4, 0.5, 0.0))
 
     def test_global_wins(self):
-        approx_vector(first_price(llg_instance(0.2, 0.3, 0.9)).values, (0.0, 0.0, 0.9))
+        approx_vector(first_price(llg_instance(0.2, 0.3, 0.9)), (0.0, 0.0, 0.9))
 
     def test_zero_bids(self):
-        approx_vector(first_price(llg_instance(0.0, 0.0, 0.0)).values, (0.0, 0.0, 0.0))
+        approx_vector(first_price(llg_instance(0.0, 0.0, 0.0)), (0.0, 0.0, 0.0))
 
     def test_builds_no_coalition_table(self):
         instance = llg_instance(0.4, 0.5, 0.8)
@@ -53,20 +56,20 @@ class TestFirstPrice:
 
 class TestVcg:
     def test_locals_weak(self):
-        approx_vector(vcg(llg_instance(0.4, 0.5, 0.8)).values, (0.3, 0.4, 0.0))
+        approx_vector(vcg(llg_instance(0.4, 0.5, 0.8)), (0.3, 0.4, 0.0))
 
     def test_global_wins(self):
-        approx_vector(vcg(llg_instance(0.2, 0.3, 0.9)).values, (0.0, 0.0, 0.5))
+        approx_vector(vcg(llg_instance(0.2, 0.3, 0.9)), (0.0, 0.0, 0.5))
 
     def test_local_1_strong(self):
-        approx_vector(vcg(llg_instance(1.2, 0.3, 0.8)).values, (0.5, 0.0, 0.0))
+        approx_vector(vcg(llg_instance(1.2, 0.3, 0.8)), (0.5, 0.0, 0.0))
 
     def test_losers_pay_nothing(self):
         rng = random.Random(3)
         for _ in range(50):
             instance = random_instance(rng)
             allocation = winner_determination(instance)
-            for bidder_id, payment in zip(instance.bidder_ids(), vcg(instance).values):
+            for bidder_id, payment in zip(instance.bidder_ids(), vcg(instance)):
                 if not allocation.bundle_for(bidder_id):
                     assert payment == pytest.approx(0.0, abs=TOL)
 
@@ -74,19 +77,18 @@ class TestVcg:
 class TestShapleyPayoffs:
     def test_without_auctioneer(self):
         payoffs = shapley_payoffs(llg_instance(0.4, 0.5, 0.8))
-        assert payoffs.kind == "payoff"
         approx_vector(
-            payoffs.values,
+            payoffs,
             (5 * 0.4 / 6 + 0.5 / 3 - 0.8 / 3, 0.4 / 3 + 5 * 0.5 / 6 - 0.8 / 3, 0.3833333333333333),
         )
 
     def test_with_auctioneer(self):
         payoffs = shapley_payoffs(llg_instance(0.4, 0.5, 0.8), with_auctioneer=True)
-        assert payoffs.values[0] == pytest.approx(5 * 0.4 / 12 + 0.5 / 4 - 0.8 / 4, abs=TOL)
+        assert payoffs[0] == pytest.approx(5 * 0.4 / 12 + 0.5 / 4 - 0.8 / 4, abs=TOL)
 
     def test_single_bidder(self):
         instance = AuctionInstance(("g1",), (Bidder(1, (Bid(frozenset({"g1"}), 0.7),)),))
-        approx_vector(shapley_payoffs(instance).values, (0.7,))
+        approx_vector(shapley_payoffs(instance), (0.7,))
 
     def test_dummy_bidder_gets_nothing(self):
         instance = AuctionInstance(
@@ -94,7 +96,7 @@ class TestShapleyPayoffs:
             (Bidder(1, (Bid(frozenset({"g1"}), 0.7),)), Bidder(2, ())),
         )
         for with_auctioneer in (False, True):
-            assert shapley_payoffs(instance, with_auctioneer).values[1] == pytest.approx(
+            assert shapley_payoffs(instance, with_auctioneer)[1] == pytest.approx(
                 0.0, abs=TOL
             )
 
@@ -102,19 +104,18 @@ class TestShapleyPayoffs:
 class TestShapleyPayments:
     def test_without_auctioneer(self):
         payments = shapley_payments(llg_instance(0.4, 0.5, 0.8))
-        assert payments.kind == "payment"
         approx_vector(
-            payments.values,
+            payments,
             (0.4 / 6 - 0.5 / 3 + 0.8 / 3, -0.4 / 3 + 0.5 / 6 + 0.8 / 3, -0.3833333333333333),
         )
 
     def test_with_auctioneer(self):
         payments = shapley_payments(llg_instance(0.4, 0.5, 0.8), with_auctioneer=True)
-        assert payments.values[0] == pytest.approx(7 * 0.4 / 12 - 0.5 / 4 + 0.8 / 4, abs=TOL)
+        assert payments[0] == pytest.approx(7 * 0.4 / 12 - 0.5 / 4 + 0.8 / 4, abs=TOL)
 
     def test_locals_strong(self):
         payments = shapley_payments(llg_instance(1.2, 1.1, 0.8))
-        approx_vector(payments.values, (0.8 / 6, 0.8 / 6, -0.8 / 3))
+        approx_vector(payments, (0.8 / 6, 0.8 / 6, -0.8 / 3))
 
 
 class TestAxioms:
@@ -122,7 +123,7 @@ class TestAxioms:
     @given(instance=instances())
     def test_efficiency_without_auctioneer(self, instance):
         payoffs = shapley_payoffs(instance)
-        assert sum(payoffs.values) == pytest.approx(
+        assert sum(payoffs) == pytest.approx(
             coalitional_value(instance, instance.bidder_ids()), abs=TOL
         )
 
@@ -130,7 +131,7 @@ class TestAxioms:
     @given(instance=instances())
     def test_efficiency_with_auctioneer(self, instance):
         payoffs = shapley_payoffs(instance, with_auctioneer=True)
-        assert sum(payoffs.values) + auctioneer_payoff(instance) == pytest.approx(
+        assert sum(payoffs) + auctioneer_payoff(instance) == pytest.approx(
             coalitional_value(instance, instance.bidder_ids()), abs=TOL
         )
 
@@ -140,7 +141,7 @@ class TestAxioms:
         for with_auctioneer in (False, True):
             fast = shapley_payoffs(instance, with_auctioneer)
             slow = shapley_payoffs_by_enumeration(instance, with_auctioneer)
-            approx_vector(fast.values, slow.values)
+            approx_vector(fast, slow)
         assert auctioneer_payoff(instance) == pytest.approx(
             auctioneer_payoff_by_enumeration(instance), abs=TOL
         )
@@ -158,34 +159,53 @@ class TestAxioms:
             for rule in ReferenceRule:
                 direct = reference_point(llg_instance(a, b, g), rule)
                 swapped = reference_point(llg_instance(b, a, g), rule)
-                assert direct.values[0] == pytest.approx(swapped.values[1], abs=TOL)
-                assert direct.values[1] == pytest.approx(swapped.values[0], abs=TOL)
-                assert direct.values[2] == pytest.approx(swapped.values[2], abs=TOL)
+                assert direct[0] == pytest.approx(swapped[1], abs=TOL)
+                assert direct[1] == pytest.approx(swapped[0], abs=TOL)
+                assert direct[2] == pytest.approx(swapped[2], abs=TOL)
 
 
 class TestDispatch:
     def test_kinds(self):
         instance = llg_instance(0.4, 0.5, 0.8)
-        assert reference_point(instance, ReferenceRule.FIRST_PRICE).kind == "payment"
-        assert reference_point(instance, ReferenceRule.VCG).kind == "payment"
-        assert (
-            reference_point(instance, ReferenceRule.SHAPLEY_PAYOFF_NO_AUCTIONEER).kind == "payoff"
-        )
-        assert (
-            reference_point(instance, ReferenceRule.SHAPLEY_PAYMENT_WITH_AUCTIONEER).kind
-            == "payment"
-        )
+        payoff_rules = {rule for rule in ReferenceRule if rule.is_payoff}
+        assert payoff_rules == {
+            ReferenceRule.SHAPLEY_PAYOFF_NO_AUCTIONEER,
+            ReferenceRule.SHAPLEY_PAYOFF_WITH_AUCTIONEER,
+        }
+        for rule in payoff_rules:
+            assert reference_point(instance, rule) == shapley_payoffs(
+                instance, rule.with_auctioneer
+            )
 
     def test_matches_direct_functions(self):
         instance = llg_instance(0.9, 1.3, 1.0)
         approx_vector(
-            reference_point(instance, ReferenceRule.SHAPLEY_PAYMENT_NO_AUCTIONEER).values,
-            shapley_payments(instance).values,
+            reference_point(instance, ReferenceRule.SHAPLEY_PAYMENT_NO_AUCTIONEER),
+            shapley_payments(instance),
         )
         approx_vector(
-            reference_point(instance, ReferenceRule.SHAPLEY_PAYOFF_WITH_AUCTIONEER).values,
-            shapley_payoffs(instance, with_auctioneer=True).values,
+            reference_point(instance, ReferenceRule.SHAPLEY_PAYOFF_WITH_AUCTIONEER),
+            shapley_payoffs(instance, with_auctioneer=True),
         )
+
+
+class TestTupleContract:
+    """Every payment or payoff vector is a plain tuple, one entry per bidder."""
+
+    def test_every_vector_is_a_tuple(self):
+        for profile in (LlgBidProfile(0.4, 0.5, 0.8), LlgBidProfile(0.2, 0.3, 0.9)):
+            instance = profile.to_instance()
+            for rule in ReferenceRule:
+                point = reference_point(instance, rule)
+                assert type(point) is tuple and len(point) == 3
+                projected = project_to_mrc(profile, point)
+                assert type(projected) is tuple and len(projected) == 3
+                if profile.locals_win():
+                    closed = closed_form_reference(profile, rule)
+                    assert type(closed) is tuple and len(closed) == 2
+            for with_auctioneer in (False, True):
+                slow = shapley_payoffs_by_enumeration(instance, with_auctioneer)
+                assert type(slow) is tuple and len(slow) == 3
 
 
 def shapley_payoffs_one_variant(instance, with_auctioneer):
@@ -217,7 +237,7 @@ class TestShapleyCache:
             cached = instance.shapley_values[1 if with_auctioneer else 0]
             assert cached == expected
             assert [x.hex() for x in cached] == [x.hex() for x in expected]
-            assert shapley_payoffs(instance, with_auctioneer).values == expected
+            assert shapley_payoffs(instance, with_auctioneer) == expected
 
     def test_repeated_calls_equal_fresh_instances(self):
         rng = random.Random(8)
