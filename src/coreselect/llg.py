@@ -29,7 +29,13 @@ BOUNDARY_TOLERANCE = 1e-9
 
 
 class GlobalWinnerError(ValueError):
-    """The locals lose, so the projected rule has no local-payment derivative."""
+    """The locals lose, so the closed forms give no sensitivity or derivative."""
+
+
+def _global_winner_error(profile: LlgBidProfile) -> GlobalWinnerError:
+    return GlobalWinnerError(
+        f"global bidder wins at (a, b, g) = ({profile.a}, {profile.b}, {profile.g})"
+    )
 
 
 class BoundaryProximityError(ValueError):
@@ -237,7 +243,13 @@ def sensitivity_fraction(case: CaseLabel, rule: ReferenceRule) -> Fraction:
 
 
 def sensitivity(profile: LlgBidProfile, rule: ReferenceRule) -> float:
-    """Sensitivity to the first local bid: d p1/d a - d p2/d a of the closed forms."""
+    """Sensitivity to the first local bid: d p1/d a - d p2/d a of the closed forms.
+
+    The closed forms hold only where the locals win; elsewhere this raises
+    ``GlobalWinnerError``.
+    """
+    if not profile.locals_win():
+        raise _global_winner_error(profile)
     return float(sensitivity_fraction(classify_case(profile), rule))
 
 
@@ -271,9 +283,7 @@ def projection_derivative(profile: LlgBidProfile, rule: ReferenceRule) -> Deriva
     projected payment has a kink there and no two-sided derivative.
     """
     if not profile.locals_win():
-        raise GlobalWinnerError(
-            f"global bidder wins at (a, b, g) = ({profile.a}, {profile.b}, {profile.g})"
-        )
+        raise _global_winner_error(profile)
     a, b, g = profile.a, profile.b, profile.g
     form, _, reports = _BY_RULE[id(rule)][_case_index(a, b, g)]
     split = even_split(g, *form(a, b, g))
@@ -308,7 +318,7 @@ def numeric_derivative(
     elif not (math.isfinite(h) and h > 0 and a - h < a < a + h):
         raise ValueError(f"step must be finite, positive and change a = {a}, got {h}")
     if not profile.locals_win():
-        raise GlobalWinnerError(f"global bidder wins at (a, b, g) = ({a}, {b}, {g})")
+        raise _global_winner_error(profile)
     p1, p2 = closed_form_reference(profile, rule)
     split = even_split(g, p1, p2)
     p1_min, p1_max = llg_segment_ends(a, b, g)

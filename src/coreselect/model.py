@@ -2,13 +2,12 @@
 
 Bids use XOR semantics: each bidder names alternative bundles and wins at
 most one of them (winning none is worth zero). Instances are capped at 12
-bidders and 8 goods. The efficient allocation, with its tie-broken
-assignment, is found by a branch-and-bound search over feasible
-assignments; the value of every bidder coalition comes from one dynamic
-program over subsets of goods that reproduces that search's values, and
-``coalitional_value`` reads that cached table. The allocation stays on the
-search: the program's per-mask tie choice can differ from it once two prefix
-sums within the tie tolerance collapse to one welfare after a later bid.
+bidders and 8 goods. One dynamic program over subsets of goods solves
+them: run along the chain of bidders 1..n it gives the efficient
+allocation, with its tie-broken assignment, and run over every bidder
+coalition it gives the coalition value table that ``coalitional_value``
+reads. Welfare gaps within ``TIE_TOLERANCE`` times the instance's largest
+bid count as ties, so the tie rule scales with the bids.
 """
 
 from __future__ import annotations
@@ -17,12 +16,13 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 MAX_BIDDERS = 12
 MAX_GOODS = 8
 
-# Welfare gaps at or below this count as exact ties for the winner search.
+# Welfare gaps at or below this fraction of the instance's largest bid
+# count as exact ties.
 TIE_TOLERANCE = 1e-12
 
 LLG_GOODS = ("g1", "g2")
@@ -74,10 +74,14 @@ class LlgBidProfile:
     def locals_win(self) -> bool:
         """True when the engine awards both goods to the locals.
 
-        This is the engine's own tie rule: the global bid must beat the
-        locals' joint bid by more than ``TIE_TOLERANCE`` to win.
+        This is the engine's comparison written out: the global bid wins only
+        when it beats the locals' joint bid by more than ``TIE_TOLERANCE``
+        times the largest bid. ``g`` serves as that scale. A local bid above
+        ``g`` puts the locals' sum above ``g``, so they win at any tolerance;
+        otherwise ``g`` is the largest bid. Taking ``g`` rather than a max of
+        the three keeps this cheap on region maps, which call it per cell.
         """
-        return self.a + self.b >= self.g - TIE_TOLERANCE
+        return self.g <= self.a + self.b + TIE_TOLERANCE * self.g
 
     def to_instance(self) -> "AuctionInstance":
         return llg_instance(self.a, self.b, self.g)
@@ -258,51 +262,24 @@ def _shapley_payoffs(
     return tuple(without), tuple(with_)
 
 
-def _exhaustive_best(options: Sequence) -> tuple[float, list[frozenset[str]]]:
-    """Welfare-maximal feasible choice of one option per bidder.
-
-    ``options`` holds the ``_bidder_options`` of the participating bidders
-    in id order; the result is the welfare and each one's awarded bundle.
-    Ties are broken toward the lexicographically smallest assignment vector
-    over bidder ids, with non-empty bundles ordered before the empty award,
-    so lower bidder ids win ties and at an exact locals/global welfare tie in
-    LLG the locals win.
-    """
-    suffix_max = [0.0] * (len(options) + 1)
-    for i in range(len(options) - 1, -1, -1):
-        suffix_max[i] = suffix_max[i + 1] + max(value for _, value, _ in options[i])
-
-    best_welfare = -1.0
-    best_choice: list[frozenset[str]] | None = None
-    choice: list[frozenset[str]] = [frozenset()] * len(options)
-
-    def walk(idx: int, used_mask: int, welfare: float) -> None:
-        nonlocal best_welfare, best_choice
-        if idx == len(options):
-            # Enumeration follows the canonical option order, so the first
-            # assignment reaching a welfare level is the tie-break winner.
-            if welfare > best_welfare + TIE_TOLERANCE:
-                best_welfare = welfare
-                best_choice = choice.copy()
-            return
-        if welfare + suffix_max[idx] < best_welfare - TIE_TOLERANCE:
-            return
-        for mask, value, bundle in options[idx]:
-            if mask & used_mask:
-                continue
-            choice[idx] = bundle
-            walk(idx + 1, used_mask | mask, welfare + value)
-        choice[idx] = frozenset()
-
-    walk(0, 0, 0.0)
-    assert best_choice is not None
-    return max(best_welfare, 0.0), best_choice
-
-
 def winner_determination(instance: AuctionInstance) -> Allocation:
-    """Efficient allocation of the full instance, with deterministic tie-breaking."""
-    welfare, choice = _exhaustive_best(instance.options)
-    return Allocation(dict(zip(instance.bidder_ids(), choice)), welfare)
+    """Efficient allocation of the full instance, with deterministic tie-breaking.
+
+    Welfare ties go to the lexicographically smallest assignment vector over
+    bidder ids, with non-empty bundles ordered before the empty award, so
+    lower bidder ids win ties and at an exact locals/global welfare tie in
+    LLG the locals win. The goods-mask program runs along the chain of
+    bidders 1..n, and its full-mask key records each bidder's option.
+    """
+    options = instance.options
+    values, keys = _goods_mask_program(instance, chain=True)
+    welfare, key = values[-1], keys[-1]
+    # Bidder n is the least significant digit; digit d is option K - 1 - d.
+    bundles = []
+    for bidder_options in reversed(options):
+        key, digit = divmod(key, len(bidder_options))
+        bundles.append(bidder_options[-1 - digit][2])
+    return Allocation(dict(zip(instance.bidder_ids(), reversed(bundles))), welfare)
 
 
 def _validated_coalition(instance: AuctionInstance, coalition: Iterable[int]) -> set[int]:
@@ -330,26 +307,40 @@ def realized_welfare(
 def coalition_value_table(instance: AuctionInstance) -> list[float]:
     """Coalitional value of every bidder subset, indexed by bitmask (bit i = bidder id i+1).
 
-    A dynamic program over goods masks (Rothkopf, Pekec and Harstad 1998)
-    returns, bit for bit, the welfare ``_exhaustive_best`` finds for each
-    subset. A layer holds, for every goods mask g, the best welfare the
-    coalition reaches using only goods in g. Coalition S is built from S
-    without its highest bidder h: for each of h's options, in
-    ``_bidder_options`` order, every mask g that contains the bundle is
-    relaxed from ``parent[g & ~bundle] + value``. Adding the highest bidder
-    last makes every candidate the same id-order float sum the search
-    forms, and since float addition is monotone, the best prefix plus a
-    value is the best of the sums.
+    Each entry is the full-mask welfare of the goods-mask program
+    (``_goods_mask_program``) on that coalition, with the tie tolerance of
+    the whole instance, so it is the welfare ``winner_determination`` would
+    find for the coalition alone.
+    """
+    return _goods_mask_program(instance, chain=False)[0]
 
-    The search's tie rule is carried as an integer key per mask: a
-    mixed-radix number with one digit per bidder, bidder 1 most
-    significant, where option k of a bidder with K options is the digit
-    K - 1 - k, so the empty award is 0. A candidate replaces an entry when
-    it is higher by more than ``TIE_TOLERANCE``, or within it and its key
-    is larger, that is when its assignment comes first in the search's
-    canonical order. Coalitions are walked depth first, so at most n + 1
-    layers are live; a coalition holding bidder n is never extended, so
-    only its full-mask entry is relaxed.
+
+def _goods_mask_program(
+    instance: AuctionInstance, chain: bool
+) -> tuple[list[float], list[int]]:
+    """The goods-mask dynamic program (Rothkopf, Pekec and Harstad 1998).
+
+    Returns, indexed by coalition bitmask, each built coalition's best
+    welfare and the key of its assignment; coalitions it does not build
+    keep 0.0 and key 0. A layer holds, for every goods mask g, the best
+    welfare the coalition reaches using only goods in g and its key.
+    Coalition S is built from S without its highest bidder h: for each of
+    h's options, in ``_bidder_options`` order, every mask g that contains
+    the bundle is relaxed from ``parent[g & ~bundle] + value``. Adding the
+    highest bidder last makes every candidate the id-order float sum of its
+    assignment, and since float addition is monotone, the best prefix plus
+    a value is the best of the sums. With ``chain`` set only the coalitions
+    {1}, {1, 2}, ..., {1..n} are built; otherwise every coalition is, depth
+    first, so at most n + 1 layers are live. A coalition holding bidder n
+    is never extended, so only its full-mask entry is relaxed.
+
+    The key is a mixed-radix number with one digit per bidder, bidder 1
+    most significant, where option k of a bidder with K options is the
+    digit K - 1 - k, so the empty award is 0 and a larger key is an
+    assignment earlier in the canonical order. A candidate replaces an
+    entry when it is higher by more than the tie tolerance, or within it
+    and its key is larger. The tolerance is ``TIE_TOLERANCE`` times the
+    instance's largest bid, the same for every coalition.
     """
     n = instance.n
     full = (1 << instance.m) - 1
@@ -358,43 +349,52 @@ def coalition_value_table(instance: AuctionInstance) -> list[float]:
     for i in range(n - 2, -1, -1):
         digit_weights[i] = digit_weights[i + 1] * len(options[i + 1])
     # Per bidder and positive option: value, key increment, and the
-    # (rest, goods) mask pairs it relaxes, for every goods mask and for the
-    # full mask alone.
+    # (rest, goods) mask pairs it relaxes, for every goods mask (bidder n,
+    # never extended, needs none) and for the full mask alone.
     relaxations = []
+    largest = 0.0
     for i, bidder_options in enumerate(options):
         last = len(bidder_options) - 1
         rows = []
         for k, (bundle, value, _) in enumerate(bidder_options[:last]):
-            pairs = [(rest, rest | bundle) for rest in range(full + 1) if not rest & bundle]
+            pairs = (
+                [(rest, rest | bundle) for rest in range(full + 1) if not rest & bundle]
+                if i < n - 1
+                else None
+            )
             rows.append((value, (last - k) * digit_weights[i], pairs, [(full & ~bundle, full)]))
+            if value > largest:
+                largest = value
         relaxations.append(rows)
+    tol = TIE_TOLERANCE * largest
 
     table = [0.0] * (1 << n)
+    table_keys = [0] * (1 << n)
     # Entries: coalition mask, index of the next bidder to add, its layer.
-    stack = [(0, 0, [0.0] * (full + 1), [0] * (full + 1))]
+    stack = [(0, 0, [0.0] * (full + 1), [0] * (full + 1))] if n else []
     while stack:
-        coalition, h, values, keys = stack[-1]
-        if h == n:
-            stack.pop()
-            continue
-        stack[-1] = (coalition, h + 1, values, keys)
+        coalition, h, values, keys = stack.pop()
         extended = h < n - 1
+        if extended and not chain:
+            # The coalition without bidder h goes on to bidder h + 1 next.
+            stack.append((coalition, h + 1, values, keys))
         child_values = values.copy()
         child_keys = keys.copy()
         for value, step, pairs, full_pair in relaxations[h]:
             for rest, goods in pairs if extended else full_pair:
                 candidate = values[rest] + value
                 best = child_values[goods]
-                if candidate > best + TIE_TOLERANCE or (
-                    candidate >= best - TIE_TOLERANCE and keys[rest] + step > child_keys[goods]
+                if candidate > best + tol or (
+                    candidate >= best - tol and keys[rest] + step > child_keys[goods]
                 ):
                     child_values[goods] = candidate
                     child_keys[goods] = keys[rest] + step
         child = coalition | 1 << h
         table[child] = child_values[full]
+        table_keys[child] = child_keys[full]
         if extended:
             stack.append((child, h + 1, child_values, child_keys))
-    return table
+    return table, table_keys
 
 
 def instance_from_dict(data: dict) -> AuctionInstance:
@@ -406,18 +406,30 @@ def instance_from_dict(data: dict) -> AuctionInstance:
          "bidders": [{"id": 1, "bids": [{"bundle": ["g1"], "value": 0.4}]}, ...]}
     """
     try:
-        goods = tuple(str(good) for good in data["goods"])
+        goods = tuple(str(good) for good in _field(data, "goods", list, "a JSON array"))
         bidders = []
         for entry in data["bidders"]:
             bids = tuple(
-                Bid(frozenset(str(good) for good in bid["bundle"]), float(bid["value"]))
+                Bid(
+                    frozenset(str(good) for good in _field(bid, "bundle", list, "a JSON array")),
+                    float(_field(bid, "value", (int, float), "a number")),
+                )
                 for bid in entry["bids"]
             )
-            bidders.append(Bidder(int(entry["id"]), bids))
-    except (KeyError, TypeError) as exc:
+            bidders.append(Bidder(_field(entry, "id", int, "a JSON integer"), bids))
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed instance object: {exc}") from exc
     bidders.sort(key=lambda bidder: bidder.id)
     return AuctionInstance(goods, tuple(bidders))
+
+
+def _field(data: dict, name: str, kinds: type | tuple[type, ...], kind: str):
+    """``data[name]`` if it is one of ``kinds`` (a JSON true or false never is)."""
+    value = data[name]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        got = json.dumps(value, default=repr)
+        raise ValueError(f'instance field "{name}" must be {kind}, got {got}')
+    return value
 
 
 def instance_from_json(text: str) -> AuctionInstance:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from hypothesis import strategies as st
 
 from coreselect import AuctionInstance, Bid, Bidder, LlgBidProfile
+from coreselect.model import TIE_TOLERANCE
 
 
 def bounded_floats(low: float = 0.0, high: float = 2.0):
@@ -58,3 +60,49 @@ def twelve_bidder_payments() -> tuple[float, ...]:
     """Payments that violate many coalition constraints of ``twelve_bidder_instance``."""
     rng = random.Random(12)
     return tuple(rng.uniform(0.0, 0.2) for _ in range(12))
+
+
+def tie_tolerance(instance: AuctionInstance) -> float:
+    """The engine's tie tolerance for the instance: a fraction of its largest bid."""
+    values = [bid.value for bidder in instance.bidders for bid in bidder.bids]
+    return TIE_TOLERANCE * max(values, default=0.0)
+
+
+def exhaustive_best(options: Sequence, tol: float) -> tuple[float, list[frozenset[str]]]:
+    """Welfare-maximal feasible choice of one option per bidder, by branch and bound.
+
+    The oracle for the engine's goods-mask program. ``options`` holds the
+    ``_bidder_options`` of the participating bidders in id order; the result
+    is the welfare and each one's awarded bundle. Welfare gaps within ``tol``
+    are ties, broken toward the lexicographically smallest assignment vector
+    over bidder ids, with non-empty bundles ordered before the empty award.
+    """
+    suffix_max = [0.0] * (len(options) + 1)
+    for i in range(len(options) - 1, -1, -1):
+        suffix_max[i] = suffix_max[i + 1] + max(value for _, value, _ in options[i])
+
+    best_welfare = -1.0
+    best_choice: list[frozenset[str]] | None = None
+    choice: list[frozenset[str]] = [frozenset()] * len(options)
+
+    def walk(idx: int, used_mask: int, welfare: float) -> None:
+        nonlocal best_welfare, best_choice
+        if idx == len(options):
+            # Enumeration follows the canonical option order, so the first
+            # assignment reaching a welfare level is the tie-break winner.
+            if welfare > best_welfare + tol:
+                best_welfare = welfare
+                best_choice = choice.copy()
+            return
+        if welfare + suffix_max[idx] < best_welfare - tol:
+            return
+        for mask, value, bundle in options[idx]:
+            if mask & used_mask:
+                continue
+            choice[idx] = bundle
+            walk(idx + 1, used_mask | mask, welfare + value)
+        choice[idx] = frozenset()
+
+    walk(0, 0, 0.0)
+    assert best_choice is not None
+    return max(best_welfare, 0.0), best_choice

@@ -154,6 +154,34 @@ class TestPayments:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "field, goods, bidder",
+        [
+            ("goods", "g1", {"id": 1, "bids": [{"bundle": ["g1"], "value": 0.5}]}),
+            ("bundle", ["g1", "2"], {"id": 1, "bids": [{"bundle": "2", "value": 0.5}]}),
+            ("id", ["g1"], {"id": 1.7, "bids": [{"bundle": ["g1"], "value": 0.5}]}),
+            ("id", ["g1"], {"id": True, "bids": [{"bundle": ["g1"], "value": 0.5}]}),
+            ("value", ["g1"], {"id": 1, "bids": [{"bundle": ["g1"], "value": True}]}),
+        ],
+    )
+    def test_malformed_shape_rejected(self, capsys, tmp_path, field, goods, bidder):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"goods": goods, "bidders": [bidder]}))
+        code, out, err = run(capsys, "payments", "--instance", str(path), "--rule", "first-price")
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith(f'error: instance field "{field}" '), err
+
+    def test_value_too_large_for_a_float_rejected(self, capsys, tmp_path):
+        path = tmp_path / "instance.json"
+        bid = '{"bundle": ["g1"], "value": 1' + "0" * 400 + "}"
+        path.write_text('{"goods": ["g1"], "bidders": [{"id": 1, "bids": [' + bid + "]}]}")
+        code, out, err = run(capsys, "payments", "--instance", str(path), "--rule", "first-price")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed instance object"), err
+
 
 class TestProjectAndSensitivity:
     def test_project_line(self, capsys):
@@ -176,6 +204,20 @@ class TestProjectAndSensitivity:
         projected = project_to_mrc(profile, reference_point(instance, ReferenceRule.VCG))
         assert not core_violations(instance, projected)
 
+    def test_project_tie_window_scales_with_bids(self, capsys):
+        # The same profile as 0.4 0.5 0.9000000000000009, scaled by 1e6: the
+        # gap is inside the tie tolerance at either scale, so the locals win.
+        code, out, _ = run(
+            capsys, "project", "--llg", "4e5", "5e5", "900000.0000000009", "--rule", "vcg"
+        )
+        assert code == 0
+        assert out == "case=locals_weak p1=400000.000000 p2=500000.000000 p3=0.000000\n"
+
+    def test_project_zero_locals_lose(self, capsys):
+        code, out, _ = run(capsys, "project", "--llg", "0", "0", "1e-13", "--rule", "vcg")
+        assert code == 0
+        assert out.startswith("case=global_winner ")
+
     def test_project_metric_validation(self, capsys):
         for metric in ("1.0", "nan"):
             code, out, err = run(
@@ -197,6 +239,14 @@ class TestProjectAndSensitivity:
         )
         assert code == 0
         assert out == "case=local1_strong sens1=0.000000 sens2=1.000000\n"
+
+    def test_sensitivity_global_winner_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "sensitivity", "--llg", "0.2", "0.3", "0.9", "--rule", "vcg"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: global bidder wins at (a, b, g) = (0.2, 0.3, 0.9)\n"
 
 
 class TestDerivative:

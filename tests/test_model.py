@@ -1,8 +1,9 @@
 import json
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coreselect import (
@@ -20,9 +21,9 @@ from coreselect import (
     realized_welfare,
     winner_determination,
 )
-from coreselect.model import _exhaustive_best, _instance_options
+from coreselect.model import TIE_TOLERANCE, _instance_options
 from coreselect.verify import random_instance
-from helpers import instances
+from helpers import exhaustive_best, instances, tie_tolerance
 
 G1 = frozenset({"g1"})
 G2 = frozenset({"g2"})
@@ -30,10 +31,14 @@ BOTH = frozenset({"g1", "g2"})
 
 
 def _search_table(instance):
-    """The per-subset search the subset DP must reproduce bit for bit."""
+    """The per-subset search the subset DP must reproduce bit for bit.
+
+    Every subset is searched with the whole instance's tie tolerance.
+    """
     options = _instance_options(instance)
+    tol = tie_tolerance(instance)
     return [
-        _exhaustive_best([options[i] for i in range(instance.n) if mask >> i & 1])[0]
+        exhaustive_best([options[i] for i in range(instance.n) if mask >> i & 1], tol)[0]
         for mask in range(1 << instance.n)
     ]
 
@@ -85,12 +90,14 @@ class TestWinnerDetermination:
         assert winner_determination(instance) == winner_determination(instance)
 
     def test_tie_break_when_prefix_sums_collapse(self):
-        # The search keeps the first assignment in its canonical order,
-        # (1, 2, 3, 5). A goods-mask DP run along bidders 1..n picks
-        # (1, 3, 4, 5) instead: at mask {g1, g2, g3} it keeps x + x + p
-        # (0x1.a72d555555555p+19) over x + p + x (0x1.a72d555555554p+19),
-        # one ulp apart, which is more than TIE_TOLERANCE at this scale, and
-        # bidder 5's bid then rounds both sums to the same welfare.
+        # The first assignment in the canonical order, (1, 2, 3, 5), must win.
+        # When bidder 4 joins, mask {g1, g2, g3} compares x + x + p
+        # (0x1.a72d555555555p+19, bidders 1, 3, 4) with x + p + x
+        # (0x1.a72d555555554p+19, bidders 1, 2, 3), one ulp apart. That is
+        # more than an absolute 1e-12 but inside the tie tolerance scaled by
+        # the largest bid, so the key keeps bidders 1, 2, 3 there. With an
+        # absolute tolerance the DP would keep 1, 3, 4, and bidder 5's bid
+        # would then round both sums to the same welfare: (1, 3, 4, 5).
         x, p = 1e6 / 3, 2e5
         bids = [("g1", x), ("g2", p), ("g3", x), ("g2", p), ("g4", p)]
         instance = AuctionInstance(
@@ -149,7 +156,7 @@ def tie_heavy_instances(draw):
     m = draw(st.integers(0, 6))
     goods = tuple(f"g{k}" for k in range(1, m + 1))
     n = draw(st.integers(0, 8))
-    scale = draw(st.sampled_from((1e-6, 1.0, 1e3, 1e9)))
+    scale = draw(st.sampled_from((1e-6, 1.0, 1e3, 1e6, 1e9, 1e12)))
     # Bundles of one or two goods let many bidders share the goods, so
     # near-tied assignments are common; duplicate bundles are allowed.
     bundles = st.frozensets(st.sampled_from(goods), min_size=1, max_size=2)
@@ -219,6 +226,75 @@ class TestCoalitionValueTableExact:
         )
         instance = AuctionInstance(goods, bidders)
         assert coalition_value_table(instance) == _search_table(instance)
+
+
+class TestWinnerDeterminationExact:
+    """``winner_determination`` equals the branch-and-bound search with ``==``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance=tie_heavy_instances())
+    def test_matches_search_on_tie_heavy_bids(self, instance):
+        welfare, choice = exhaustive_best(instance.options, tie_tolerance(instance))
+        allocation = winner_determination(instance)
+        assert allocation.assignment == dict(zip(instance.bidder_ids(), choice))
+        assert allocation.welfare == welfare
+
+
+@st.composite
+def near_tie_llg_profiles(draw):
+    """LLG profiles with g within a few tie tolerances and ulps of a + b.
+
+    The tolerance unit is either relative to a + b or absolute, so both the
+    scaled tie window and an absolute one are probed at every scale.
+    """
+    scale = draw(st.sampled_from((1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12)))
+    # Zero local bids are drawn often: the global bid's key then decides.
+    unit_floats = st.just(0.0) | st.floats(0.0, 1.0)
+    a = draw(unit_floats) * scale
+    b = draw(unit_floats) * scale
+    unit = draw(st.sampled_from((a + b, 1.0)))
+    g = a + b + draw(st.integers(-3, 3)) * TIE_TOLERANCE * unit
+    steps = draw(st.integers(-4, 4))
+    for _ in range(abs(steps)):
+        g = math.nextafter(g, math.copysign(math.inf, steps))
+    return LlgBidProfile(a, b, max(g, 0.0))
+
+
+class TestLocalsWin:
+    """``LlgBidProfile.locals_win`` is the engine's own winner rule."""
+
+    @staticmethod
+    def engine_locals_win(profile):
+        return 3 not in winner_determination(profile.to_instance()).winners()
+
+    def test_agrees_with_engine_at_tolerance_edge(self):
+        # g exceeds a + b by about 1e-12, which is 1% of the bids here.
+        profile = LlgBidProfile(
+            1.0611138117492025e-10, 9.791498508458952e-12, 1.169028796833792e-10
+        )
+        assert not profile.locals_win()
+        assert not self.engine_locals_win(profile)
+
+    def test_zero_locals_lose_to_positive_global(self):
+        profile = LlgBidProfile(0.0, 0.0, 1e-13)
+        assert not profile.locals_win()
+        assert winner_determination(profile.to_instance()).winners() == (3,)
+
+    @pytest.mark.parametrize("k", [1e-6, 1.0, 1e3, 1e6, 1e9])
+    def test_tie_window_scales_with_bids(self, k):
+        a, b = 0.4 * k, 0.5 * k
+        profile = LlgBidProfile(a, b, (a + b) * (1 + 1e-15))
+        assert profile.locals_win()
+        assert winner_determination(profile.to_instance()).winners() == (1, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(profile=near_tie_llg_profiles())
+    @example(
+        profile=LlgBidProfile(1.0611138117492025e-10, 9.791498508458952e-12, 1.169028796833792e-10)
+    )
+    @example(profile=LlgBidProfile(0.0, 0.0, 1e-12))
+    def test_matches_engine_near_ties(self, profile):
+        assert profile.locals_win() == self.engine_locals_win(profile)
 
 
 class TestRealizedWelfare:
