@@ -6,8 +6,8 @@ bidders and 8 goods. One dynamic program over subsets of goods solves
 them: run along the chain of bidders 1..n it gives the efficient
 allocation, with its tie-broken assignment, and run over every bidder
 coalition it gives the coalition value table that ``coalitional_value``
-reads. Welfare gaps within ``TIE_TOLERANCE`` times the instance's largest
-bid count as ties, so the tie rule scales with the bids.
+reads. Welfares within ``TIE_TOLERANCE`` times the instance's largest bid
+of the best one tie with it, so the tie window scales with the bids.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from typing import Iterable
 MAX_BIDDERS = 12
 MAX_GOODS = 8
 
-# Welfare gaps at or below this fraction of the instance's largest bid
-# count as exact ties.
+# A welfare below the best one by at most this fraction of the instance's
+# largest bid ties with it.
 TIE_TOLERANCE = 1e-12
 
 LLG_GOODS = ("g1", "g2")
@@ -265,21 +265,19 @@ def _shapley_payoffs(
 def winner_determination(instance: AuctionInstance) -> Allocation:
     """Efficient allocation of the full instance, with deterministic tie-breaking.
 
-    Welfare ties go to the lexicographically smallest assignment vector over
-    bidder ids, with non-empty bundles ordered before the empty award, so
-    lower bidder ids win ties and at an exact locals/global welfare tie in
-    LLG the locals win. The goods-mask program runs along the chain of
-    bidders 1..n, and its full-mask key records each bidder's option.
+    Assignments whose welfare is within the tie tolerance of the best one
+    tie, and the first of them in the canonical order wins: the
+    lexicographically smallest assignment vector over bidder ids, with
+    non-empty bundles ordered before the empty award. So lower bidder ids
+    win ties, and at an exact locals/global welfare tie in LLG the locals
+    win. ``welfare`` is the winning assignment's welfare, the grand
+    coalition's entry of ``coalition_value_table``. The goods-mask program
+    runs along the chain of coalitions {1}, {1, 2}, ..., {1..n}.
     """
     options = instance.options
-    values, keys = _goods_mask_program(instance, chain=True)
-    welfare, key = values[-1], keys[-1]
-    # Bidder n is the least significant digit; digit d is option K - 1 - d.
-    bundles = []
-    for bidder_options in reversed(options):
-        key, digit = divmod(key, len(bidder_options))
-        bundles.append(bidder_options[-1 - digit][2])
-    return Allocation(dict(zip(instance.bidder_ids(), reversed(bundles))), welfare)
+    table, picks = _goods_mask_program(instance, chain=True)
+    bundles = [bidder_options[k][2] for bidder_options, k in zip(options, picks)]
+    return Allocation(dict(zip(instance.bidder_ids(), bundles)), table[-1])
 
 
 def _validated_coalition(instance: AuctionInstance, coalition: Iterable[int]) -> set[int]:
@@ -307,10 +305,10 @@ def realized_welfare(
 def coalition_value_table(instance: AuctionInstance) -> list[float]:
     """Coalitional value of every bidder subset, indexed by bitmask (bit i = bidder id i+1).
 
-    Each entry is the full-mask welfare of the goods-mask program
-    (``_goods_mask_program``) on that coalition, with the tie tolerance of
-    the whole instance, so it is the welfare ``winner_determination`` would
-    find for the coalition alone.
+    Each entry is the welfare of the coalition's tie-broken assignment from
+    the goods-mask program (``_goods_mask_program``), with the tie
+    tolerance of the whole instance, so it is the welfare
+    ``winner_determination`` would find for the coalition alone.
     """
     return _goods_mask_program(instance, chain=False)[0]
 
@@ -320,81 +318,148 @@ def _goods_mask_program(
 ) -> tuple[list[float], list[int]]:
     """The goods-mask dynamic program (Rothkopf, Pekec and Harstad 1998).
 
-    Returns, indexed by coalition bitmask, each built coalition's best
-    welfare and the key of its assignment; coalitions it does not build
-    keep 0.0 and key 0. A layer holds, for every goods mask g, the best
-    welfare the coalition reaches using only goods in g and its key.
-    Coalition S is built from S without its highest bidder h: for each of
-    h's options, in ``_bidder_options`` order, every mask g that contains
-    the bundle is relaxed from ``parent[g & ~bundle] + value``. Adding the
-    highest bidder last makes every candidate the id-order float sum of its
-    assignment, and since float addition is monotone, the best prefix plus
-    a value is the best of the sums. With ``chain`` set only the coalitions
-    {1}, {1, 2}, ..., {1..n} are built; otherwise every coalition is, depth
-    first, so at most n + 1 layers are live. A coalition holding bidder n
-    is never extended, so only its full-mask entry is relaxed.
+    Returns the welfare of each built coalition's tie-broken assignment,
+    indexed by coalition bitmask, with 0.0 for coalitions it does not
+    build; with ``chain`` set, also the option index each bidder takes in
+    the grand coalition's assignment, in id order.
 
-    The key is a mixed-radix number with one digit per bidder, bidder 1
-    most significant, where option k of a bidder with K options is the
-    digit K - 1 - k, so the empty award is 0 and a larger key is an
-    assignment earlier in the canonical order. A candidate replaces an
-    entry when it is higher by more than the tie tolerance, or within it
-    and its key is larger. The tolerance is ``TIE_TOLERANCE`` times the
-    instance's largest bid, the same for every coalition.
+    A layer holds, for every goods mask g, the best welfare the coalition
+    reaches using only goods in g and an upper bound on every other welfare
+    it reaches there. Coalition S is built from S without its highest bidder
+    h: for each of h's options, every mask g that contains the bundle is
+    relaxed from ``parent[g & ~bundle] + value``. Adding the highest bidder
+    last makes every candidate the id-order float sum of its assignment,
+    and since float addition is monotone, the best of the parent plus a
+    value is the best of the sums. With ``chain`` set only the coalitions
+    {1}, {1, 2}, ..., {1..n} are built; otherwise every coalition is, depth
+    first, so only the layers on the current path, at most n + 1, are live.
+    A coalition holding bidder n is never extended, so only its full-mask
+    entry is relaxed.
+
+    The tie tolerance is ``TIE_TOLERANCE`` times the instance's largest
+    bid, the same for every coalition. Where no other welfare ties a
+    coalition's best one, that is its tie-broken welfare; otherwise, and
+    for the grand coalition of the chain, ``_tie_broken`` traces the
+    assignment.
     """
     n = instance.n
     full = (1 << instance.m) - 1
     options = instance.options
-    digit_weights = [1] * n
-    for i in range(n - 2, -1, -1):
-        digit_weights[i] = digit_weights[i + 1] * len(options[i + 1])
-    # Per bidder and positive option: value, key increment, and the
-    # (rest, goods) mask pairs it relaxes, for every goods mask (bidder n,
-    # never extended, needs none) and for the full mask alone.
+    # Per bidder and positive option: value, and the (rest, goods) mask pairs
+    # it relaxes, for every goods mask (bidder n, never extended, needs none)
+    # and for the full mask alone.
     relaxations = []
     largest = 0.0
     for i, bidder_options in enumerate(options):
-        last = len(bidder_options) - 1
         rows = []
-        for k, (bundle, value, _) in enumerate(bidder_options[:last]):
+        for bundle, value, _ in bidder_options[:-1]:
             pairs = (
                 [(rest, rest | bundle) for rest in range(full + 1) if not rest & bundle]
                 if i < n - 1
                 else None
             )
-            rows.append((value, (last - k) * digit_weights[i], pairs, [(full & ~bundle, full)]))
+            rows.append((value, pairs, [(full & ~bundle, full)]))
             if value > largest:
                 largest = value
         relaxations.append(rows)
     tol = TIE_TOLERANCE * largest
 
     table = [0.0] * (1 << n)
-    table_keys = [0] * (1 << n)
+    picks: list[int] = []
+    # A layer is (best, upper bound on the others, index of the bidder added
+    # last, the layer it was built from); the empty coalition's has no bidder.
+    empty = ([0.0] * (full + 1), [-math.inf] * (full + 1), None, None)
     # Entries: coalition mask, index of the next bidder to add, its layer.
-    stack = [(0, 0, [0.0] * (full + 1), [0] * (full + 1))] if n else []
+    stack = [(0, 0, empty)] if n else []
     while stack:
-        coalition, h, values, keys = stack.pop()
+        coalition, h, layer = stack.pop()
         extended = h < n - 1
         if extended and not chain:
             # The coalition without bidder h goes on to bidder h + 1 next.
-            stack.append((coalition, h + 1, values, keys))
+            stack.append((coalition, h + 1, layer))
+        values, lower = layer[0], layer[1]
         child_values = values.copy()
-        child_keys = keys.copy()
-        for value, step, pairs, full_pair in relaxations[h]:
+        child_lower = lower.copy()
+        for value, pairs, full_pair in relaxations[h]:
             for rest, goods in pairs if extended else full_pair:
                 candidate = values[rest] + value
                 best = child_values[goods]
-                if candidate > best + tol or (
-                    candidate >= best - tol and keys[rest] + step > child_keys[goods]
-                ):
+                if candidate > best:
+                    below = lower[rest] + value
+                    child_lower[goods] = best if best > below else below
                     child_values[goods] = candidate
-                    child_keys[goods] = keys[rest] + step
+                elif candidate == best:
+                    below = lower[rest] + value
+                    if below > child_lower[goods]:
+                        child_lower[goods] = below
+                elif candidate > child_lower[goods]:
+                    child_lower[goods] = candidate
         child = coalition | 1 << h
-        table[child] = child_values[full]
-        table_keys[child] = child_keys[full]
+        child_layer = (child_values, child_lower, h, layer)
         if extended:
-            stack.append((child, h + 1, child_values, child_keys))
-    return table, table_keys
+            stack.append((child, h + 1, child_layer))
+        if chain:
+            if not extended:
+                table[child], picks = _tie_broken(options, child_layer, full, tol)
+        elif _ties(child_values[full], child_lower[full], tol):
+            table[child] = _tie_broken(options, child_layer, full, tol)[0]
+        else:
+            table[child] = child_values[full]
+    return table, picks
+
+
+def _ties(best: float, welfare: float, tol: float) -> bool:
+    """The engine's tie rule: ``best`` does not beat ``welfare`` by more than ``tol``."""
+    return best <= welfare + tol
+
+
+def _tie_broken(options: tuple, layer: tuple, full: int, tol: float) -> tuple[float, list[int]]:
+    """The first assignment in the canonical order whose welfare ties the coalition's best.
+
+    ``layer`` is the coalition's layer from ``_goods_mask_program``; its
+    links lead to the layers of the coalition without its highest member,
+    without its two highest, and so on. The members choose from the highest
+    id down, each among the options that still leave a tying assignment.
+    The test is exact: the best welfare an option still allows is the next
+    layer's entry for the goods left plus the option's value plus the
+    higher members' values, in id order, since float addition is monotone.
+    The first tying choice of the members below a given one depends only on
+    the goods left and the higher members' nonzero values, so it is
+    computed once per such state. Returns the assignment's welfare and each
+    member's option index, in id order.
+    """
+    best = layer[0][full]
+    memo: dict = {}
+
+    def first(layer: tuple, goods: int, later: tuple[float, ...]) -> tuple[tuple[int, ...], float]:
+        _, _, h, parent = layer
+        state = (h, goods, later)
+        if state in memo:
+            return memo[state]
+        rest = parent[0]
+        found = None
+        for k, (bundle, value, _) in enumerate(options[h]):
+            if bundle & ~goods:
+                continue
+            welfare = rest[goods & ~bundle] + value
+            for higher in later:
+                welfare += higher
+            if not _ties(best, welfare, tol):
+                continue
+            if parent[2] is None:
+                choice = ((k,), welfare)
+            else:
+                lower_picks, welfare = first(
+                    parent, goods & ~bundle, (value, *later) if value else later
+                )
+                choice = ((*lower_picks, k), welfare)
+            if found is None or choice < found:
+                found = choice
+        memo[state] = found
+        return found
+
+    picks, welfare = first(layer, full, ())
+    return welfare, list(picks)
 
 
 def instance_from_dict(data: dict) -> AuctionInstance:

@@ -69,40 +69,52 @@ def tie_tolerance(instance: AuctionInstance) -> float:
 
 
 def exhaustive_best(options: Sequence, tol: float) -> tuple[float, list[frozenset[str]]]:
-    """Welfare-maximal feasible choice of one option per bidder, by branch and bound.
+    """Tie-broken welfare-maximal choice of one option per bidder, by branch and bound.
 
     The oracle for the engine's goods-mask program. ``options`` holds the
     ``_bidder_options`` of the participating bidders in id order; the result
-    is the welfare and each one's awarded bundle. Welfare gaps within ``tol``
-    are ties, broken toward the lexicographically smallest assignment vector
-    over bidder ids, with non-empty bundles ordered before the empty award.
+    is the welfare and each one's awarded bundle. An assignment's welfare is
+    the float sum of its values in id order. Assignments within ``tol`` of
+    the best welfare tie, and the first of them in the canonical order wins:
+    the lexicographically smallest assignment vector over bidder ids, with
+    non-empty bundles ordered before the empty award.
+
+    A first pass finds the best welfare, a second walks the canonical order
+    to the first tying assignment. Both prune a branch by its real-valued
+    bound with a margin of ``tol``, far above the rounding error of sums of
+    at most 12 bids.
     """
-    suffix_max = [0.0] * (len(options) + 1)
-    for i in range(len(options) - 1, -1, -1):
+    n = len(options)
+    suffix_max = [0.0] * (n + 1)
+    for i in range(n - 1, -1, -1):
         suffix_max[i] = suffix_max[i + 1] + max(value for _, value, _ in options[i])
 
-    best_welfare = -1.0
-    best_choice: list[frozenset[str]] | None = None
-    choice: list[frozenset[str]] = [frozenset()] * len(options)
+    best = 0.0
 
-    def walk(idx: int, used_mask: int, welfare: float) -> None:
-        nonlocal best_welfare, best_choice
-        if idx == len(options):
-            # Enumeration follows the canonical option order, so the first
-            # assignment reaching a welfare level is the tie-break winner.
-            if welfare > best_welfare + tol:
-                best_welfare = welfare
-                best_choice = choice.copy()
+    def find_best(idx: int, used_mask: int, welfare: float) -> None:
+        nonlocal best
+        if welfare + suffix_max[idx] + tol < best:
             return
-        if welfare + suffix_max[idx] < best_welfare - tol:
+        if idx == n:
+            best = max(best, welfare)
             return
+        for mask, value, _ in options[idx]:
+            if not mask & used_mask:
+                find_best(idx + 1, used_mask | mask, welfare + value)
+
+    def first_tied(idx: int, used_mask: int, welfare: float, chosen: list):
+        if welfare + suffix_max[idx] + 2 * tol < best:
+            return None
+        if idx == n:
+            return (welfare, chosen) if best <= welfare + tol else None
         for mask, value, bundle in options[idx]:
-            if mask & used_mask:
-                continue
-            choice[idx] = bundle
-            walk(idx + 1, used_mask | mask, welfare + value)
-        choice[idx] = frozenset()
+            if not mask & used_mask:
+                found = first_tied(idx + 1, used_mask | mask, welfare + value, [*chosen, bundle])
+                if found is not None:
+                    return found
+        return None
 
-    walk(0, 0, 0.0)
-    assert best_choice is not None
-    return max(best_welfare, 0.0), best_choice
+    find_best(0, 0, 0.0)
+    found = first_tied(0, 0, 0.0, [])
+    assert found is not None
+    return found

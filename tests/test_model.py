@@ -91,13 +91,13 @@ class TestWinnerDetermination:
 
     def test_tie_break_when_prefix_sums_collapse(self):
         # The first assignment in the canonical order, (1, 2, 3, 5), must win.
-        # When bidder 4 joins, mask {g1, g2, g3} compares x + x + p
-        # (0x1.a72d555555555p+19, bidders 1, 3, 4) with x + p + x
-        # (0x1.a72d555555554p+19, bidders 1, 2, 3), one ulp apart. That is
-        # more than an absolute 1e-12 but inside the tie tolerance scaled by
-        # the largest bid, so the key keeps bidders 1, 2, 3 there. With an
-        # absolute tolerance the DP would keep 1, 3, 4, and bidder 5's bid
-        # would then round both sums to the same welfare: (1, 3, 4, 5).
+        # Its welfare, x + p + x + p, and that of (1, 3, 4, 5), x + x + p + p,
+        # are both the best float sum: the prefixes x + p + x
+        # (0x1.a72d555555554p+19) and x + x + p (0x1.a72d555555555p+19) are
+        # one ulp apart, and bidder 5's bid rounds both to the same welfare.
+        # A goods-mask DP that kept only the larger prefix per mask would
+        # find (1, 3, 4, 5); the one-ulp gap is inside the tie tolerance, so
+        # the engine traces the tied assignments back and keeps the first.
         x, p = 1e6 / 3, 2e5
         bids = [("g1", x), ("g2", p), ("g3", x), ("g2", p), ("g4", p)]
         instance = AuctionInstance(
@@ -168,12 +168,52 @@ def tie_heavy_instances(draw):
     return AuctionInstance(goods, tuple(bidders))
 
 
+# Offsets, in tie tolerances, that put assignments less than a tolerance
+# apart without being equal; sums of two reach the tolerance's edge.
+NEAR_TIE_STEPS = (0.0, 0.4, -0.4, 0.6, -0.6, 0.9, -0.9)
+
+
+@st.composite
+def near_tie_instances(draw):
+    """``tie_heavy_instances`` with every bid moved by a fraction of the tie tolerance."""
+    instance = draw(tie_heavy_instances())
+    tol = tie_tolerance(instance)
+    steps = st.sampled_from(NEAR_TIE_STEPS)
+    bidders = tuple(
+        Bidder(
+            bidder.id,
+            tuple(
+                Bid(bid.bundle, max(0.0, bid.value + draw(steps) * tol)) for bid in bidder.bids
+            ),
+        )
+        for bidder in instance.bidders
+    )
+    return AuctionInstance(instance.goods, bidders)
+
+
+def sliding_ties_instance(scale):
+    """Three goods where each tie is within the tolerance of the one before, not of the best."""
+    g3 = frozenset({"g3"})
+    first = (Bid(G1, 0.25e9 * scale), Bid(G2, 0.5e9 * scale), Bid(g3, 1e9 * scale))
+    second = (
+        Bid(G1 | g3, (0.5e9 - 6e-4) * scale),
+        Bid(G2 | g3, (0.75e9 - 1.2e-3) * scale),
+    )
+    return AuctionInstance(("g1", "g2", "g3"), (Bidder(1, first), Bidder(2, second)))
+
+
 class TestCoalitionValueTableExact:
     """``coalition_value_table`` equals the per-subset search with ``==``."""
 
     @settings(max_examples=300, deadline=None)
     @given(instance=tie_heavy_instances())
     def test_matches_search_on_tie_heavy_bids(self, instance):
+        assert coalition_value_table(instance) == _search_table(instance)
+
+    @settings(max_examples=200, deadline=None)
+    @given(instance=near_tie_instances())
+    @example(instance=sliding_ties_instance(1.0))
+    def test_matches_search_on_near_tie_bids(self, instance):
         assert coalition_value_table(instance) == _search_table(instance)
 
     def test_no_bidders(self):
@@ -231,13 +271,42 @@ class TestCoalitionValueTableExact:
 class TestWinnerDeterminationExact:
     """``winner_determination`` equals the branch-and-bound search with ``==``."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(instance=tie_heavy_instances())
-    def test_matches_search_on_tie_heavy_bids(self, instance):
+    @staticmethod
+    def assert_matches_search(instance):
         welfare, choice = exhaustive_best(instance.options, tie_tolerance(instance))
         allocation = winner_determination(instance)
         assert allocation.assignment == dict(zip(instance.bidder_ids(), choice))
         assert allocation.welfare == welfare
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance=tie_heavy_instances())
+    def test_matches_search_on_tie_heavy_bids(self, instance):
+        self.assert_matches_search(instance)
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance=near_tie_instances())
+    @example(instance=sliding_ties_instance(1.0))
+    @example(instance=sliding_ties_instance(1e-9))
+    def test_matches_search_on_near_tie_bids(self, instance):
+        self.assert_matches_search(instance)
+        # No coalition, the grand one included, beats the allocation by more
+        # than the tie tolerance.
+        welfare = winner_determination(instance).welfare
+        assert max(coalition_value_table(instance)) <= welfare + tie_tolerance(instance)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-9])
+    def test_ties_do_not_chain_below_the_best(self, scale):
+        # Bidder 1 alone reaches 1e9. Bidders 1 and 2 together reach 1e9 -
+        # 6e-4 and 1e9 - 1.2e-3 (at scale 1), each within the tolerance 1e-3
+        # of the one before. Only the first is within it of the best.
+        instance = sliding_ties_instance(scale)
+        allocation = winner_determination(instance)
+        assert allocation.assignment == {1: G2, 2: frozenset({"g1", "g3"})}
+        assert allocation.welfare == (0.5e9 * scale) + (0.5e9 - 6e-4) * scale
+        table = coalition_value_table(instance)
+        assert table == _search_table(instance)
+        assert table[0b01] == 1e9 * scale
+        assert table[0b01] <= table[0b11] + tie_tolerance(instance)
 
 
 @st.composite
