@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 MAX_BIDDERS = 12
@@ -87,14 +86,37 @@ class LlgBidProfile:
         return llg_instance(self.a, self.b, self.g)
 
 
+class _solved_once:
+    """A value computed on first access and kept in the instance's ``__dict__``.
+
+    ``functools.cached_property`` without its lock, which CPython 3.11
+    takes on every first access; an instance fills up to six of these. The
+    stored value shadows this non-data descriptor from then on.
+    """
+
+    def __init__(self, func) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner: type | None = None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class AuctionInstance:
     """An auction with named goods and XOR bidders with ids 1..n, in order.
 
     The efficient allocation, the realized bid values, the coalition value
     table and both Shapley payoff vectors are solved on first use and kept
-    on the instance, as is each bidder's list of candidate awards; every
-    payment rule and the core constraints read them from there.
+    on the instance, as are each bidder's list of candidate awards and the
+    goods-mask program's rows; every payment rule and the core constraints
+    read them from there.
     """
 
     goods: tuple[str, ...]
@@ -145,31 +167,36 @@ class AuctionInstance:
                 best = bid.value
         return best
 
-    @cached_property
+    @_solved_once
     def allocation(self) -> "Allocation":
         """The efficient allocation, solved once."""
         return winner_determination(self)
 
-    @cached_property
+    @_solved_once
     def realized(self) -> tuple[float, ...]:
         """Each bidder's accepted bid value under ``allocation``, in id order."""
         allocation = self.allocation
         return tuple(self.bid_value(i, allocation.bundle_for(i)) for i in self.bidder_ids())
 
-    @cached_property
+    @_solved_once
     def coalition_values(self) -> tuple[float, ...]:
         """``coalition_value_table`` of the instance, solved once."""
         return tuple(coalition_value_table(self))
 
-    @cached_property
+    @_solved_once
     def shapley_values(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Shapley payoffs without and with the auctioneer as a player, solved once."""
         return _shapley_payoffs(self.n, self.coalition_values)
 
-    @cached_property
+    @_solved_once
     def options(self) -> tuple:
         """Each bidder's candidate awards (``_instance_options``), built once."""
         return _instance_options(self)
+
+    @_solved_once
+    def _rows(self) -> tuple[list, float]:
+        """``_program_rows`` of the instance, built once for both program runs."""
+        return _program_rows(self)
 
 
 @dataclass
@@ -324,8 +351,9 @@ def _goods_mask_program(
     the grand coalition's assignment, in id order.
 
     A layer holds, for every goods mask g, the best welfare the coalition
-    reaches using only goods in g and an upper bound on every other welfare
-    it reaches there. Coalition S is built from S without its highest bidder
+    reaches using only goods in g and an upper bound on the welfare of
+    every other assignment there, so a second assignment at the best
+    welfare raises the bound to it. Coalition S is built from S without its highest bidder
     h: for each of h's options, every mask g that contains the bundle is
     relaxed from ``parent[g & ~bundle] + value``. Adding the highest bidder
     last makes every candidate the id-order float sum of its assignment,
@@ -340,30 +368,13 @@ def _goods_mask_program(
     bid, the same for every coalition. Where no other welfare ties a
     coalition's best one, that is its tie-broken welfare; otherwise, and
     for the grand coalition of the chain, ``_tie_broken`` traces the
-    assignment.
+    assignment. The per-option rows and the tolerance come from
+    ``_program_rows``, built once per instance for both runs.
     """
     n = instance.n
     full = (1 << instance.m) - 1
     options = instance.options
-    # Per bidder and positive option: value, and the (rest, goods) mask pairs
-    # it relaxes, for every goods mask (bidder n, never extended, needs none)
-    # and for the full mask alone.
-    relaxations = []
-    largest = 0.0
-    for i, bidder_options in enumerate(options):
-        rows = []
-        for bundle, value, _ in bidder_options[:-1]:
-            pairs = (
-                [(rest, rest | bundle) for rest in range(full + 1) if not rest & bundle]
-                if i < n - 1
-                else None
-            )
-            rows.append((value, pairs, [(full & ~bundle, full)]))
-            if value > largest:
-                largest = value
-        relaxations.append(rows)
-    tol = TIE_TOLERANCE * largest
-
+    relaxations, tol = instance._rows
     table = [0.0] * (1 << n)
     picks: list[int] = []
     # A layer is (best, upper bound on the others, index of the bidder added
@@ -389,9 +400,8 @@ def _goods_mask_program(
                     child_lower[goods] = best if best > below else below
                     child_values[goods] = candidate
                 elif candidate == best:
-                    below = lower[rest] + value
-                    if below > child_lower[goods]:
-                        child_lower[goods] = below
+                    # Another assignment reaches the best welfare exactly.
+                    child_lower[goods] = best
                 elif candidate > child_lower[goods]:
                     child_lower[goods] = candidate
         child = coalition | 1 << h
@@ -408,9 +418,59 @@ def _goods_mask_program(
     return table, picks
 
 
+def _program_rows(instance: AuctionInstance) -> tuple[list, float]:
+    """Per bidder and positive option, the goods-mask program's relaxation row.
+
+    A row is the option's value, the (rest, goods) mask pairs it relaxes for
+    every goods mask (None for bidder n, which is never extended) and the
+    pair for the full mask alone. Also returns the tie tolerance,
+    ``TIE_TOLERANCE`` times the instance's largest bid.
+    """
+    n = instance.n
+    full = (1 << instance.m) - 1
+    relaxations = []
+    largest = 0.0
+    for i, bidder_options in enumerate(instance.options):
+        rows = []
+        for bundle, value, _ in bidder_options[:-1]:
+            pairs = (
+                [(rest, rest | bundle) for rest in range(full + 1) if not rest & bundle]
+                if i < n - 1
+                else None
+            )
+            rows.append((value, pairs, [(full & ~bundle, full)]))
+            if value > largest:
+                largest = value
+        relaxations.append(rows)
+    return relaxations, TIE_TOLERANCE * largest
+
+
 def _ties(best: float, welfare: float, tol: float) -> bool:
     """The engine's tie rule: ``best`` does not beat ``welfare`` by more than ``tol``."""
     return best <= welfare + tol
+
+
+def _best_path(options: tuple, layer: tuple, goods: int) -> list[int]:
+    """Each member's option index in the one assignment that reaches ``layer``'s best welfare.
+
+    For a coalition where no other assignment ties the best one: going down
+    from the highest member, each layer's entry is reached exactly by one
+    option on top of the layer below, the one that assignment takes.
+    """
+    picks = []
+    while True:
+        _, _, h, parent = layer
+        target = layer[0][goods]
+        rest = parent[0]
+        for k, (bundle, value, _) in enumerate(options[h]):
+            if not bundle & ~goods and rest[goods & ~bundle] + value == target:
+                break
+        picks.append(k)
+        goods &= ~bundle
+        if parent[2] is None:
+            picks.reverse()
+            return picks
+        layer = parent
 
 
 def _tie_broken(options: tuple, layer: tuple, full: int, tol: float) -> tuple[float, list[int]]:
@@ -425,10 +485,13 @@ def _tie_broken(options: tuple, layer: tuple, full: int, tol: float) -> tuple[fl
     higher members' values, in id order, since float addition is monotone.
     The first tying choice of the members below a given one depends only on
     the goods left and the higher members' nonzero values, so it is
-    computed once per such state. Returns the assignment's welfare and each
-    member's option index, in id order.
+    computed once per such state. Where no other assignment ties the best
+    one, that one is read off the layers by ``_best_path``. Returns the
+    assignment's welfare and each member's option index, in id order.
     """
     best = layer[0][full]
+    if not _ties(best, layer[1][full], tol):
+        return best, _best_path(options, layer, full)
     memo: dict = {}
 
     def first(layer: tuple, goods: int, later: tuple[float, ...]) -> tuple[tuple[int, ...], float]:
