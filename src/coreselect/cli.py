@@ -292,7 +292,7 @@ def _violations_json(instance: AuctionInstance, payments: list[float]) -> str:
         }
         for violation in found
     ]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _cmd_core_check(args: argparse.Namespace) -> int:

@@ -1,18 +1,19 @@
-"""Core constraints, membership checks, and the LLG minimum-revenue projection.
+"""Core violations and the LLG minimum-revenue projection.
 
 The core of an auction outcome is cut out by one blocking-coalition
 constraint per proper bidder subset L (the remaining bidders must jointly pay
 at least the welfare L loses by their presence), individual-rationality caps
-for every bidder, and non-negativity of payments. On LLG instances where the
-locals win, the minimum-revenue slice of the core is a segment, and any
-reference point can be projected onto it in closed form.
+for every bidder, and non-negativity of payments; ``core_violations`` walks
+them all. On LLG instances where the locals win, the minimum-revenue slice
+of the core is a segment, and any reference point can be projected onto it
+in closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .model import AuctionInstance, LlgBidProfile
 
@@ -34,13 +35,6 @@ class CoreConstraint:
     payers: frozenset[int]
     bound: float
 
-    def slack(self, payments: Sequence[float]) -> float:
-        """Margin by which the payments satisfy this constraint (negative = violated)."""
-        if self.kind == "ir":
-            (payer,) = self.payers
-            return self.bound - payments[payer - 1]
-        return sum(payments[i - 1] for i in self.payers) - self.bound
-
 
 @dataclass(frozen=True)
 class CoreViolation:
@@ -58,62 +52,36 @@ def _payment_values(payments: Sequence[float], n: int) -> tuple[float, ...]:
     return values
 
 
-def _coalition_conditions(
-    instance: AuctionInstance,
-) -> Iterator[tuple[frozenset[int], frozenset[int], float]]:
-    """(coalition, payers, bound) of every proper blocking coalition, by mask.
-
-    Bounds and slacks sum over these frozensets in their iteration order,
-    which is not ascending id order for every set (``frozenset({9, 3})``
-    yields 9 first), so the sets are built the same way for every caller.
-    """
-    ids = instance.bidder_ids()
-    n = instance.n
-    everyone = frozenset(ids)
-    table = instance.coalition_values
-    realized = instance.realized
-    for mask in range((1 << n) - 1):
-        coalition = frozenset(ids[i] for i in range(n) if mask >> i & 1)
-        bound = table[mask] - sum(realized[i - 1] for i in coalition)
-        yield coalition, everyone - coalition, bound
-
-
-def core_constraints(instance: AuctionInstance) -> list[CoreConstraint]:
-    """All core conditions for the instance's efficient allocation.
-
-    Emits one blocking-coalition constraint per proper subset of bidders
-    (the full set is vacuous and omitted), then an individual-rationality cap
-    and a non-negativity floor for every bidder.
-    """
-    constraints = [
-        CoreConstraint("coalition", coalition, payers, bound)
-        for coalition, payers, bound in _coalition_conditions(instance)
-    ]
-    realized = instance.realized
-    for i in instance.bidder_ids():
-        single = frozenset({i})
-        constraints.append(CoreConstraint("ir", single, single, realized[i - 1]))
-        constraints.append(CoreConstraint("nonneg", single, single, 0.0))
-    return constraints
-
-
 def core_violations(
     instance: AuctionInstance, payments: Sequence[float]
 ) -> list[CoreViolation]:
     """Constraints the payments violate beyond the tolerance (empty = in the core).
 
-    Each condition's slack is computed as ``CoreConstraint.slack`` computes
-    it, in ``core_constraints`` order, and a constraint object is built
-    only for a violated one.
+    Every proper blocking coalition is checked, by mask, then each bidder's
+    rationality cap and non-negativity floor; a constraint object is built
+    only for a violated condition. A payer sum that overflows to -inf is
+    rejected, so every returned slack is finite. Bounds and slacks sum over
+    the coalition and payer frozensets in their iteration order, which is
+    not ascending id order for every set (``frozenset({9, 3})`` yields 9
+    first).
     """
     values = _payment_values(payments, instance.n)
+    ids = instance.bidder_ids()
+    n = instance.n
+    everyone = frozenset(ids)
+    table = instance.coalition_values
+    realized = instance.realized
     violations = []
-    for coalition, payers, bound in _coalition_conditions(instance):
+    for mask in range((1 << n) - 1):
+        coalition = frozenset(ids[i] for i in range(n) if mask >> i & 1)
+        bound = table[mask] - sum(realized[i - 1] for i in coalition)
+        payers = everyone - coalition
         slack = sum(values[i - 1] for i in payers) - bound
         if slack < -CORE_TOLERANCE:
+            if slack == -math.inf:
+                raise ValueError(f"the sum of the payments of bidders {sorted(payers)} overflows")
             constraint = CoreConstraint("coalition", coalition, payers, bound)
             violations.append(CoreViolation(constraint, slack))
-    realized = instance.realized
     for i, (cap, paid) in enumerate(zip(realized, values), start=1):
         slack = cap - paid
         if slack < -CORE_TOLERANCE:
@@ -123,10 +91,6 @@ def core_violations(
             single = frozenset({i})
             violations.append(CoreViolation(CoreConstraint("nonneg", single, single, 0.0), paid))
     return violations
-
-
-def is_in_core(instance: AuctionInstance, payments: Sequence[float]) -> bool:
-    return not core_violations(instance, payments)
 
 
 def llg_segment_ends(a: float, b: float, g: float) -> tuple[float, float]:

@@ -356,10 +356,14 @@ def region_map(rule: ReferenceRule, g: float = 1.0, resolution: int = 200) -> Re
         raise ValueError(f"resolution must be at least 2, got {resolution}")
     if not g > 0:
         raise ValueError(f"global bid must be positive, got {g}")
-    # The largest product 2g * i below must be finite for every coordinate to be.
-    if not math.isfinite(2 * g * (resolution - 1)):
-        raise ValueError(f"global bid {g} is too large: the grid over [0, 2g] is not finite")
     coords = tuple(2 * g * i / (resolution - 1) for i in range(resolution))
+    # The top corner has the largest coordinate and, since float addition is
+    # monotone, the largest bid sum; the profile of every cell is valid if its is.
+    top = coords[-1]
+    if not top + top + g < math.inf:
+        raise ValueError(
+            f"global bid {g} is too large: the grid over [0, 2g] or its bid sums are not finite"
+        )
     cells = []
     for a in coords:
         row: list[DerivativeReport | None] = []

@@ -60,11 +60,14 @@ class LlgBidProfile:
     g: float
 
     def __post_init__(self) -> None:
-        # One chained test per bid: NaN, infinities and negatives all fail it.
-        if not (0 <= self.a < math.inf and 0 <= self.b < math.inf and 0 <= self.g < math.inf):
-            for name, value in (("a", self.a), ("b", self.b), ("g", self.g)):
+        # One chained test: NaN, infinities, negatives and an overflowing sum
+        # all fail it, and with a finite sum every welfare sum is finite.
+        a, b, g = self.a, self.b, self.g
+        if not (0 <= a and 0 <= b and 0 <= g and a + b + g < math.inf):
+            for name, value in (("a", a), ("b", b), ("g", g)):
                 if not 0 <= value < math.inf:
                     raise ValueError(f"LLG bid {name} must be finite and non-negative, got {value}")
+            raise ValueError(f"LLG bids must have a finite sum a + b + g, got {a} + {b} + {g}")
 
     def swapped(self) -> "LlgBidProfile":
         """Profile with the two local bids exchanged."""
@@ -133,7 +136,11 @@ class AuctionInstance:
         if ids != list(range(1, len(ids) + 1)):
             raise ValueError(f"bidder ids must be 1..n in order, got {ids}")
         declared = set(self.goods)
+        # The sum of each bidder's largest bid bounds every welfare the engine
+        # sums, since float addition is monotone.
+        total = 0.0
         for bidder in self.bidders:
+            largest = 0.0
             for bid in bidder.bids:
                 if not bid.bundle:
                     raise ValueError(f"bidder {bidder.id} bids on an empty bundle")
@@ -145,6 +152,10 @@ class AuctionInstance:
                     raise ValueError(
                         f"bidder {bidder.id} has a bid value that is not a finite non-negative number"
                     )
+                largest = max(largest, bid.value)
+            total += largest
+        if not total < math.inf:
+            raise ValueError("the bidders' largest bids must have a finite sum")
 
     @property
     def n(self) -> int:
@@ -319,14 +330,6 @@ def coalitional_value(instance: AuctionInstance, coalition: Iterable[int]) -> fl
     """Welfare the coalition achieves alone (other bids zeroed), from the cached table."""
     ids = _validated_coalition(instance, coalition)
     return instance.coalition_values[sum(1 << (i - 1) for i in ids)]
-
-
-def realized_welfare(
-    instance: AuctionInstance, coalition: Iterable[int], allocation: Allocation
-) -> float:
-    """Total bid value the coalition receives under the given (efficient) allocation."""
-    ids = _validated_coalition(instance, coalition)
-    return sum(instance.bid_value(i, allocation.bundle_for(i)) for i in ids)
 
 
 def coalition_value_table(instance: AuctionInstance) -> list[float]:
@@ -534,12 +537,12 @@ def instance_from_dict(data: dict) -> AuctionInstance:
          "bidders": [{"id": 1, "bids": [{"bundle": ["g1"], "value": 0.4}]}, ...]}
     """
     try:
-        goods = tuple(str(good) for good in _field(data, "goods", list, "a JSON array"))
+        goods = tuple(_field(data, "goods", list, "a JSON array of strings", str))
         bidders = []
         for entry in data["bidders"]:
             bids = tuple(
                 Bid(
-                    frozenset(str(good) for good in _field(bid, "bundle", list, "a JSON array")),
+                    frozenset(_field(bid, "bundle", list, "a JSON array of strings", str)),
                     float(_field(bid, "value", (int, float), "a number")),
                 )
                 for bid in entry["bids"]
@@ -551,10 +554,20 @@ def instance_from_dict(data: dict) -> AuctionInstance:
     return AuctionInstance(goods, tuple(bidders))
 
 
-def _field(data: dict, name: str, kinds: type | tuple[type, ...], kind: str):
-    """``data[name]`` if it is one of ``kinds`` (a JSON true or false never is)."""
+def _field(
+    data: dict, name: str, kinds: type | tuple[type, ...], kind: str, entries: type | None = None
+):
+    """``data[name]`` if it is one of ``kinds`` (a JSON true or false never is).
+
+    With ``entries``, the value is an array and each of its entries must be one.
+    """
     value = data[name]
-    if isinstance(value, bool) or not isinstance(value, kinds):
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, kinds)
+        or entries is not None
+        and not all(isinstance(entry, entries) for entry in value)
+    ):
         got = json.dumps(value, default=repr)
         raise ValueError(f'instance field "{name}" must be {kind}, got {got}')
     return value

@@ -7,7 +7,7 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
-from coreselect import AuctionInstance, Bid, Bidder, LlgBidProfile
+from coreselect import AuctionInstance, Bid, Bidder, CoreConstraint, LlgBidProfile
 from coreselect.model import TIE_TOLERANCE
 
 
@@ -118,3 +118,43 @@ def exhaustive_best(options: Sequence, tol: float) -> tuple[float, list[frozense
     found = first_tied(0, 0, 0.0, [])
     assert found is not None
     return found
+
+
+def core_constraints(instance: AuctionInstance) -> list[CoreConstraint]:
+    """All core conditions for the instance's efficient allocation.
+
+    The oracle for ``core_violations``. Emits one blocking-coalition
+    constraint per proper subset of bidders, by mask (the full set is
+    vacuous and omitted), then an individual-rationality cap and a
+    non-negativity floor for every bidder. The coalition and payer sets are
+    built with the library's expressions, so bounds and slacks sum in the
+    same frozenset iteration order, which is not id order for every set.
+    """
+    ids = instance.bidder_ids()
+    n = instance.n
+    everyone = frozenset(ids)
+    table = instance.coalition_values
+    realized = instance.realized
+    constraints = []
+    for mask in range((1 << n) - 1):
+        coalition = frozenset(ids[i] for i in range(n) if mask >> i & 1)
+        bound = table[mask] - sum(realized[i - 1] for i in coalition)
+        constraints.append(CoreConstraint("coalition", coalition, everyone - coalition, bound))
+    for i in ids:
+        single = frozenset({i})
+        constraints.append(CoreConstraint("ir", single, single, realized[i - 1]))
+        constraints.append(CoreConstraint("nonneg", single, single, 0.0))
+    return constraints
+
+
+def slack(constraint: CoreConstraint, payments: Sequence[float]) -> float:
+    """Margin by which the payments satisfy the constraint (negative = violated)."""
+    if constraint.kind == "ir":
+        (payer,) = constraint.payers
+        return constraint.bound - payments[payer - 1]
+    return sum(payments[i - 1] for i in constraint.payers) - constraint.bound
+
+
+def realized_welfare(instance: AuctionInstance, coalition) -> float:
+    """Total accepted bid value the coalition's members receive, from ``instance.realized``."""
+    return sum(instance.realized[i - 1] for i in coalition)

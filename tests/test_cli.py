@@ -159,6 +159,18 @@ class TestPayments:
         [
             ("goods", "g1", {"id": 1, "bids": [{"bundle": ["g1"], "value": 0.5}]}),
             ("bundle", ["g1", "2"], {"id": 1, "bids": [{"bundle": "2", "value": 0.5}]}),
+            # Names are not converted with str(), so null and 2 cannot stand in for "None" and "2".
+            (
+                "goods",
+                [None, 2],
+                {
+                    "id": 1,
+                    "bids": [{"bundle": ["None"], "value": 0.5}, {"bundle": [2], "value": 0.5}],
+                },
+            ),
+            ("goods", ["g1", ["g2"]], {"id": 1, "bids": [{"bundle": ["g1"], "value": 0.5}]}),
+            ("bundle", ["g1", "2"], {"id": 1, "bids": [{"bundle": ["g1", 2], "value": 0.5}]}),
+            ("bundle", ["g1"], {"id": 1, "bids": [{"bundle": [None], "value": 0.5}]}),
             ("id", ["g1"], {"id": 1.7, "bids": [{"bundle": ["g1"], "value": 0.5}]}),
             ("id", ["g1"], {"id": True, "bids": [{"bundle": ["g1"], "value": 0.5}]}),
             ("value", ["g1"], {"id": 1, "bids": [{"bundle": ["g1"], "value": True}]}),
@@ -395,6 +407,46 @@ class TestRegionMapBytes:
         assert err.startswith("error: ") and "global bid" in err, err
 
 
+class TestOverflowingBidSums:
+    """Bids whose float sum overflows are input errors, not wrong answers.
+
+    At the profile 1e308 1e308 1.5e308 the even split's g + r1 overflows,
+    which would give ``project`` p1 = 1e308 where its scaled copy gives
+    0.75e308, and ``derivative`` a binding cap instead of the slope 0.5.
+    """
+
+    @pytest.mark.parametrize("command", ["project", "derivative", "payments"])
+    def test_llg_profile(self, capsys, command):
+        code, out, err = run(
+            capsys, command, "--llg", "1e308", "1e308", "1.5e308", "--rule", "vcg"
+        )
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+        assert err.startswith("error: LLG bids must have a finite sum a + b + g"), err
+
+    def test_instance(self, capsys, tmp_path):
+        # Both bidders win, and their welfare 2e308 overflows to inf.
+        path = tmp_path / "instance.json"
+        bidders = [
+            {"id": i, "bids": [{"bundle": [good], "value": 1e308}]}
+            for i, good in ((1, "g1"), (2, "g2"))
+        ]
+        path.write_text(json.dumps({"goods": ["g1", "g2"], "bidders": bidders}))
+        code, out, err = run(
+            capsys, "payments", "--instance", str(path), "--rule", "shapley-no-auctioneer"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: the bidders' largest bids must have a finite sum\n"
+
+    def test_region_map_corner(self, capsys):
+        # The grid over [0, 2g] is finite, but its corner's a + b + g is not.
+        code, out, err = run(
+            capsys, "region-map", "--rule", "vcg", "--g", "5e307", "--resolution", "2"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: global bid 5e+307 is too large"), err
+
+
 class TestCoreCheck:
     def test_in_core(self, capsys):
         code, out, _ = run(
@@ -474,6 +526,16 @@ class TestCoreCheck:
         assert out == ""
         assert "Traceback" not in err
         assert err.startswith("error: ") and f"bidder {bidder} must be finite" in err, err
+
+    def test_overflowing_payment_sum_rejected(self, capsys):
+        # The payers' sum -1e308 + -1e308 is -inf, and so would be the printed
+        # slack, which is not valid JSON.
+        code, out, err = run(
+            capsys, "core-check", "--llg", "0.4", "0.5", "0.8", "--payments", "-1e308", "-1e308", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: the sum of the payments of bidders [1, 2, 3] overflows\n"
 
     def test_twelve_bidder_bytes(self, capsys, tmp_path):
         # Bounds and slacks are printed at full precision and summed in the

@@ -9,10 +9,8 @@ from coreselect import (
     CaseLabel,
     CoreViolation,
     LlgBidProfile,
-    core_constraints,
     core_violations,
     first_price,
-    is_in_core,
     llg_instance,
     llg_segment_ends,
     project_to_mrc,
@@ -25,8 +23,10 @@ from coreselect.core import CORE_TOLERANCE
 from coreselect.reference import ReferenceRule
 from helpers import (
     bounded_floats,
+    core_constraints,
     instances,
     llg_profiles,
+    slack,
     twelve_bidder_instance,
     twelve_bidder_payments,
 )
@@ -67,7 +67,6 @@ class TestCoreConstraints:
 class TestCoreMembership:
     def test_point_in_core(self):
         assert core_violations(llg_instance(0.4, 0.5, 0.8), (0.35, 0.45, 0.0)) == []
-        assert is_in_core(llg_instance(0.4, 0.5, 0.8), (0.35, 0.45, 0.0))
 
     def test_vcg_outside_core(self):
         violations = core_violations(llg_instance(0.4, 0.5, 0.8), vcg(llg_instance(0.4, 0.5, 0.8)))
@@ -83,7 +82,7 @@ class TestCoreMembership:
             for _ in range(25):
                 profile = sample_llg_profile(rng, case)
                 instance = profile.to_instance()
-                assert is_in_core(instance, first_price(instance))
+                assert not core_violations(instance, first_price(instance))
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
@@ -101,9 +100,8 @@ class TestCoreMembership:
     def test_non_finite_payments_rejected(self, payments, bidder):
         # NaN fails every slack comparison, so unchecked it would read as in the core.
         instance = llg_instance(0.4, 0.5, 0.8)
-        for check in (core_violations, is_in_core):
-            with pytest.raises(ValueError, match=f"bidder {bidder} must be finite"):
-                check(instance, payments)
+        with pytest.raises(ValueError, match=f"bidder {bidder} must be finite"):
+            core_violations(instance, payments)
 
 
 def violation_bits(violations):
@@ -121,16 +119,16 @@ def violation_bits(violations):
 
 
 def constraint_path(instance, payments):
-    """The violated ``core_constraints``, each with its ``slack``: the oracle for core_violations."""
+    """The oracle for core_violations: each violated ``helpers.core_constraints``, with its slack."""
     return [
-        CoreViolation(c, c.slack(payments))
+        CoreViolation(c, slack(c, payments))
         for c in core_constraints(instance)
-        if c.slack(payments) < -CORE_TOLERANCE
+        if slack(c, payments) < -CORE_TOLERANCE
     ]
 
 
 class TestViolationsMatchConstraints:
-    """``core_violations`` equals the constraint objects' own check, bit for bit."""
+    """``core_violations`` equals the oracle's check in ``tests/helpers.py``, bit for bit."""
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), instance=instances(max_bidders=12, max_goods=4))
@@ -162,6 +160,20 @@ class TestViolationsMatchConstraints:
             != v.slack
             for v in unordered
         )
+
+
+class TestNearFloatMax:
+    @pytest.mark.parametrize("rule", list(ReferenceRule))
+    def test_projection_scales_by_a_power_of_two(self, rule):
+        # Scaling by 2**k changes no rounding, so a profile whose bid sum,
+        # 1.7 * 2**1023, is finite but near the float maximum projects
+        # exactly like (0.4, 0.5, 0.8).
+        scale = 2.0**1023
+        small = LlgBidProfile(0.4, 0.5, 0.8)
+        large = LlgBidProfile(0.4 * scale, 0.5 * scale, 0.8 * scale)
+        expected = project_to_mrc(small, reference_point(small.to_instance(), rule))
+        found = project_to_mrc(large, reference_point(large.to_instance(), rule))
+        assert found == tuple(value * scale for value in expected)
 
 
 class TestPaymentSequences:

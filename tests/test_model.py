@@ -18,12 +18,11 @@ from coreselect import (
     instance_from_json,
     instance_to_json,
     llg_instance,
-    realized_welfare,
     winner_determination,
 )
 from coreselect.model import TIE_TOLERANCE, _instance_options
 from coreselect.verify import random_instance
-from helpers import exhaustive_best, instances, tie_tolerance
+from helpers import exhaustive_best, instances, realized_welfare, tie_tolerance
 
 G1 = frozenset({"g1"})
 G2 = frozenset({"g2"})
@@ -369,19 +368,16 @@ class TestLocalsWin:
 class TestRealizedWelfare:
     def test_on_locals_win(self):
         instance = llg_instance(0.4, 0.5, 0.8)
-        allocation = winner_determination(instance)
-        assert realized_welfare(instance, {2, 3}, allocation) == pytest.approx(0.5)
+        assert realized_welfare(instance, {2, 3}) == pytest.approx(0.5)
 
     def test_on_global_win(self):
         instance = llg_instance(0.2, 0.3, 0.9)
-        allocation = winner_determination(instance)
-        assert realized_welfare(instance, {1, 2}, allocation) == 0.0
+        assert realized_welfare(instance, {1, 2}) == 0.0
 
     def test_full_coalition_equals_welfare(self):
         instance = llg_instance(1.1, 0.2, 0.9)
-        allocation = winner_determination(instance)
-        assert realized_welfare(instance, {1, 2, 3}, allocation) == pytest.approx(
-            allocation.welfare
+        assert realized_welfare(instance, {1, 2, 3}) == pytest.approx(
+            instance.allocation.welfare
         )
 
 
@@ -411,6 +407,19 @@ class TestValidation:
     def test_negative_llg_bid(self):
         with pytest.raises(ValueError):
             LlgBidProfile(-0.1, 0.5, 1.0)
+
+    def test_llg_bid_sum_must_be_finite(self):
+        with pytest.raises(ValueError, match="finite sum"):
+            LlgBidProfile(1e308, 1e308, 1.5e308)
+        LlgBidProfile(0.4e308, 0.4e308, 0.8e308)
+
+    def test_largest_bids_must_have_a_finite_sum(self):
+        # The bidders' other bids, and bids on clashing goods, count only by
+        # their largest one: 1.1e308 + 0.6e308 is finite, 1.1e308 + 1.1e308 is not.
+        low = (Bid(G1, 0.1), Bid(G1, 1.1e308))
+        AuctionInstance(("g1",), (Bidder(1, low), Bidder(2, (Bid(G1, 0.6e308),))))
+        with pytest.raises(ValueError, match="largest bids must have a finite sum"):
+            AuctionInstance(("g1",), (Bidder(1, low), Bidder(2, (Bid(G1, 1.1e308),))))
 
 
 class TestJson:
@@ -451,8 +460,7 @@ def test_coalitional_value_monotone(instance, data):
 def test_realized_welfare_at_most_coalitional_value(instance, data):
     ids = list(instance.bidder_ids())
     coalition = data.draw(st.sets(st.sampled_from(ids)) if ids else st.just(set()))
-    allocation = winner_determination(instance)
-    assert realized_welfare(instance, coalition, allocation) <= coalitional_value(
+    assert realized_welfare(instance, coalition) <= coalitional_value(
         instance, coalition
     ) + 1e-12
 
