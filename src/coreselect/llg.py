@@ -10,21 +10,27 @@ The bid space splits into four cases by comparing each local bid to the
 global bid, with ties counted as weak; every closed form is continuous
 across the case boundaries. The forms are valid where the locals win,
 which ``LlgBidProfile.locals_win`` decides with the engine's tie rule.
+That rule and the derivative's kink tolerance are relative to g. The
+derivative is piecewise constant, so region maps are built by spans: each
+row is evaluated only in guard bands around its breakpoints in b, and every
+run in between takes the report of an evaluated cell.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
 from .core import even_split, llg_segment_ends, project_to_mrc
-from .model import LlgBidProfile, llg_instance
+from .model import TIE_TOLERANCE, LlgBidProfile, llg_instance
 from .reference import ReferenceRule, reference_point
 
+# Kink tolerance relative to the global bid g: see _kink_tolerance.
 BOUNDARY_TOLERANCE = 1e-9
 
 
@@ -270,6 +276,11 @@ def region_inequalities(profile: LlgBidProfile, rule: ReferenceRule) -> tuple[bo
     return (p1 > p2 - g + 2 * a, p1 < p2 + g - 2 * b)
 
 
+def _kink_tolerance(g: float) -> float:
+    """How near a segment end the even split counts as on it: relative to g, like the split."""
+    return BOUNDARY_TOLERANCE * g
+
+
 def projection_derivative(profile: LlgBidProfile, rule: ReferenceRule) -> DerivativeReport:
     """Piecewise derivative of the projected rule's first payment w.r.t. bid a.
 
@@ -279,8 +290,9 @@ def projection_derivative(profile: LlgBidProfile, rule: ReferenceRule) -> Deriva
     the other local's zero payment (derivative 0). Past the lower end it is
     pinned at g - b (derivative 0) or, when b > g, at p1 = 0 (derivative 0).
     Strictly between the ends the payment moves at half the rule's
-    sensitivity. Profiles within tolerance of either end are flagged: the
-    projected payment has a kink there and no two-sided derivative.
+    sensitivity. Profiles within ``_kink_tolerance(g)`` of either end are
+    flagged: the projected payment has a kink there and no two-sided
+    derivative.
     """
     if not profile.locals_win():
         raise _global_winner_error(profile)
@@ -288,10 +300,11 @@ def projection_derivative(profile: LlgBidProfile, rule: ReferenceRule) -> Deriva
     form, _, reports = _BY_RULE[id(rule)][_case_index(a, b, g)]
     split = even_split(g, *form(a, b, g))
     lo, hi = llg_segment_ends(a, b, g)
-    boundary = abs(split - lo) <= BOUNDARY_TOLERANCE or abs(split - hi) <= BOUNDARY_TOLERANCE
-    if split > hi + BOUNDARY_TOLERANCE:
+    tol = _kink_tolerance(g)
+    boundary = abs(split - lo) <= tol or abs(split - hi) <= tol
+    if split > hi + tol:
         region = _IR1 if a <= g else _NONNEG
-    elif split < lo - BOUNDARY_TOLERANCE:
+    elif split < lo - tol:
         region = _IR2 if b <= g else _NONNEG
     else:
         region = _INTERIOR
@@ -346,11 +359,51 @@ class RegionMap:
     cells: tuple[tuple[DerivativeReport | None, ...], ...]
 
 
+# Guard of a row breakpoint, in payment units: far above the rounding of the
+# closed forms (about 1e-14 g), far below a grid step. The floor is for
+# subnormal g, where rounding is absolute.
+_SPAN_GUARD = 1e-6
+_SPAN_FLOOR = 64 * math.ulp(0.0)
+
+
+def _row_bands(rule: ReferenceRule, a: float, g: float, top: float) -> list[tuple[float, float]]:
+    """(centre, half-width) in b of each band where the report on row a can change.
+
+    That is where the locals start to win, at b = g, and where split - lo or
+    split - hi crosses +-tol; on each case piece both are linear in b, read
+    off the piece's closed form at its two ends.
+    """
+    guard = _SPAN_GUARD * g + _SPAN_FLOOR
+    tol = _kink_tolerance(g)
+    hi = min(a, g)
+    entries = _BY_RULE[id(rule)]
+    bands = [(g - a - TIE_TOLERANCE * g, guard), (g, guard)]
+    # Pieces b <= g and b > g, in the case of their right end q. On the first
+    # the segment's lower end is g - b (slope -1); on the second it is 0.
+    for p, q, lo_p, lo_slope in ((0.0, g, g, -1.0), (g, top, 0.0, 0.0)):
+        form = entries[_case_index(a, q, g)][0]
+        split_p = even_split(g, *form(a, p, g))
+        slope = (even_split(g, *form(a, q, g)) - split_p) / (q - p)
+        for value, d in ((split_p - lo_p, slope - lo_slope), (split_p - hi, slope)):
+            for t in (-tol, tol):
+                if d:
+                    bands.append((p + (t - value) / d, guard / abs(d)))
+                elif abs(value - t) <= guard:
+                    bands.append(((p + q) / 2, (q - p) / 2 + guard))
+    return bands
+
+
 def region_map(rule: ReferenceRule, g: float = 1.0, resolution: int = 200) -> RegionMap:
     """Evaluate the projection derivative on a resolution x resolution grid.
 
     Grid points span [0, 2g] inclusively on both axes, row-major by a then b.
     Cells where the global bidder wins are marked as global-winner.
+
+    Built by spans: along a row the report changes only at the breakpoints
+    of ``_row_bands``. Cells in a breakpoint's guard band, the nearest cell
+    beyond each band and the row's first cell go through
+    ``projection_derivative``; every other cell gets the report object of
+    the evaluated cell before it, which lies in the same run.
     """
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
@@ -366,10 +419,19 @@ def region_map(rule: ReferenceRule, g: float = 1.0, resolution: int = 200) -> Re
         )
     cells = []
     for a in coords:
+        evaluated = {0}
+        for centre, width in _row_bands(rule, a, g, top):
+            first = bisect_right(coords, centre - width) - 1
+            last = bisect_right(coords, centre + width)
+            evaluated.update(range(max(first, 0), min(last + 1, resolution)))
         row: list[DerivativeReport | None] = []
-        for b in coords:
-            profile = LlgBidProfile(a, b, g)
-            row.append(projection_derivative(profile, rule) if profile.locals_win() else None)
+        report = None
+        for j in sorted(evaluated):
+            row += [report] * (j - len(row))
+            profile = LlgBidProfile(a, coords[j], g)
+            report = projection_derivative(profile, rule) if profile.locals_win() else None
+            row.append(report)
+        row += [report] * (resolution - len(row))
         cells.append(tuple(row))
     return RegionMap(rule, g, coords, coords, tuple(cells))
 

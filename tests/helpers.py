@@ -7,7 +7,16 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
-from coreselect import AuctionInstance, Bid, Bidder, CoreConstraint, LlgBidProfile
+from coreselect import (
+    AuctionInstance,
+    Bid,
+    Bidder,
+    CoreConstraint,
+    LlgBidProfile,
+    RegionMap,
+    ReferenceRule,
+    projection_derivative,
+)
 from coreselect.model import TIE_TOLERANCE
 
 
@@ -158,3 +167,16 @@ def slack(constraint: CoreConstraint, payments: Sequence[float]) -> float:
 def realized_welfare(instance: AuctionInstance, coalition) -> float:
     """Total accepted bid value the coalition's members receive, from ``instance.realized``."""
     return sum(instance.realized[i - 1] for i in coalition)
+
+
+def region_map_by_cell(rule: ReferenceRule, g: float, resolution: int) -> RegionMap:
+    """``region_map`` the slow way: ``projection_derivative`` on every cell."""
+    coords = tuple(2 * g * i / (resolution - 1) for i in range(resolution))
+    cells = []
+    for a in coords:
+        row = []
+        for b in coords:
+            profile = LlgBidProfile(a, b, g)
+            row.append(projection_derivative(profile, rule) if profile.locals_win() else None)
+        cells.append(tuple(row))
+    return RegionMap(rule, g, coords, coords, tuple(cells))

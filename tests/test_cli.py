@@ -290,6 +290,16 @@ class TestDerivative:
         assert "numeric=n/a" in out
         assert "boundary=1" in out
 
+    def test_small_interior_profile_is_not_on_a_kink(self, capsys):
+        # The kink tolerance scales with g, so at bids near 1e-9 only profiles
+        # near a segment end are flagged, as at bids near 1.
+        code, out, _ = run(
+            capsys, "derivative", "--llg", "1e-9", "2e-9", "2.5e-9", "--rule", "vcg"
+        )
+        assert code == 0
+        assert out.startswith("case=locals_weak region=interior d=0.500000 ")
+        assert "boundary=1" not in out
+
 
 class TestRegionMap:
     def test_csv_output(self, capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from coreselect import (
 from coreselect.llg import check_threshold_table
 from coreselect.reference import ReferenceRule as R
 from coreselect.reference import reference_point
-from helpers import llg_profiles
+from helpers import llg_profiles, region_map_by_cell
 
 TOL = 1e-9
 
@@ -263,6 +264,15 @@ class TestNumericDerivative:
         assert numeric == pytest.approx(report.derivative, abs=1e-6)
 
 
+def assert_same_cells(grid, expected):
+    """Every cell of the grid is the very report object of the expected map."""
+    assert [len(row) for row in grid.cells] == [len(row) for row in expected.cells]
+    for i, (row, expected_row) in enumerate(zip(grid.cells, expected.cells)):
+        if not all(map(operator.is_, row, expected_row)):
+            j = next(j for j, (x, y) in enumerate(zip(row, expected_row)) if x is not y)
+            pytest.fail(f"cell ({i}, {j}): {row[j]} is not {expected_row[j]}")
+
+
 class TestRegionMap:
     def test_minimal_grid(self):
         grid = region_map(R.VCG, g=1.0, resolution=2)
@@ -329,9 +339,53 @@ class TestRegionMap:
             for b, cell in zip(grid.b_values, row):
                 profile = LlgBidProfile(a, b, g)
                 if profile.locals_win():
-                    assert cell == projection_derivative(profile, rule), (a, b)
+                    assert cell is projection_derivative(profile, rule), (a, b)
                 else:
                     assert cell is None, (a, b)
+
+    @pytest.mark.parametrize("rule", list(R))
+    def test_spans_match_per_cell_map(self, rule):
+        # Odd resolutions put grid points on a = g and b = g.
+        for g in (1e-6, 1.0, 2.5, 1e9):
+            for resolution in (2, 3, 200, 201):
+                assert_same_cells(
+                    region_map(rule, g, resolution), region_map_by_cell(rule, g, resolution)
+                )
+
+    @pytest.mark.parametrize("g", [5e-324, 1e-321, 1e-310])
+    def test_spans_match_per_cell_map_at_subnormal_g(self, g):
+        # Rounding is absolute below the smallest normal float, so the guard
+        # needs its floor there.
+        for rule in R:
+            for resolution in (9, 40):
+                assert_same_cells(
+                    region_map(rule, g, resolution), region_map_by_cell(rule, g, resolution)
+                )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(list(R)),
+        st.floats(0.1, 10.0),
+        st.integers(-40, 40),
+        st.integers(2, 64),
+    )
+    def test_spans_match_per_cell_map_at_any_scale(self, rule, m, k, resolution):
+        g = m * 2.0**k
+        assert_same_cells(region_map(rule, g, resolution), region_map_by_cell(rule, g, resolution))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(list(R)),
+        st.floats(0.1, 10.0),
+        st.integers(2, 48),
+        st.integers(-30, 40),
+    )
+    def test_power_of_two_scaling_is_exact(self, rule, g, resolution, k):
+        # Scaling every bid by 2**k changes no rounding, and every tolerance
+        # scales with g, so each cell is the same report object.
+        assert_same_cells(
+            region_map(rule, g * 2.0**k, resolution), region_map(rule, g, resolution)
+        )
 
 
 class TestThresholdTable:
