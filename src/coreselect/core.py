@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .model import AuctionInstance, LlgBidProfile
 
-CORE_TOLERANCE = 1e-9
+CORE_TOLERANCE = 1e-9  # times the instance's ``scale``, its largest bid
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def _payment_values(payments: Sequence[float], n: int) -> tuple[float, ...]:
 def core_violations(
     instance: AuctionInstance, payments: Sequence[float]
 ) -> list[CoreViolation]:
-    """Constraints the payments violate beyond the tolerance (empty = in the core).
+    """Constraints missed by more than ``CORE_TOLERANCE * instance.scale`` (empty = in the core).
 
     Every proper blocking coalition is checked, by mask, then each bidder's
     rationality cap and non-negativity floor; a constraint object is built
@@ -71,23 +71,24 @@ def core_violations(
     everyone = frozenset(ids)
     table = instance.coalition_values
     realized = instance.realized
+    tol = CORE_TOLERANCE * instance.scale
     violations = []
     for mask in range((1 << n) - 1):
         coalition = frozenset(ids[i] for i in range(n) if mask >> i & 1)
         bound = table[mask] - sum(realized[i - 1] for i in coalition)
         payers = everyone - coalition
         slack = sum(values[i - 1] for i in payers) - bound
-        if slack < -CORE_TOLERANCE:
+        if slack < -tol:
             if slack == -math.inf:
                 raise ValueError(f"the sum of the payments of bidders {sorted(payers)} overflows")
             constraint = CoreConstraint("coalition", coalition, payers, bound)
             violations.append(CoreViolation(constraint, slack))
     for i, (cap, paid) in enumerate(zip(realized, values), start=1):
         slack = cap - paid
-        if slack < -CORE_TOLERANCE:
+        if slack < -tol:
             single = frozenset({i})
             violations.append(CoreViolation(CoreConstraint("ir", single, single, cap), slack))
-        if paid < -CORE_TOLERANCE:
+        if paid < -tol:
             single = frozenset({i})
             violations.append(CoreViolation(CoreConstraint("nonneg", single, single, 0.0), paid))
     return violations

@@ -321,13 +321,13 @@ def numeric_derivative(
     minimum-revenue projection; it is piecewise linear, so away from kinks
     the central difference is exact up to rounding. Requires the profile to
     be at distance greater than 10 h from every case boundary and from the
-    segment-end kinks of the projection. ``h`` defaults to 1e-5 * max(1, |a|);
-    one that is not finite and positive, or too small to change a, is a
-    ``ValueError``.
+    segment-end kinks of the projection. ``h`` defaults to 1e-5 * max(g, a),
+    so it and the margins scale with the bids; one that is not finite and
+    positive, or too small to change a, is a ``ValueError``.
     """
     a, b, g = profile.a, profile.b, profile.g
     if h is None:
-        h = 1e-5 * max(1.0, abs(a))
+        h = 1e-5 * max(g, a)
     elif not (math.isfinite(h) and h > 0 and a - h < a < a + h):
         raise ValueError(f"step must be finite, positive and change a = {a}, got {h}")
     if not profile.locals_win():
@@ -336,7 +336,8 @@ def numeric_derivative(
     split = even_split(g, p1, p2)
     p1_min, p1_max = llg_segment_ends(a, b, g)
     margins = (a + b - g, abs(a - g), abs(b - g), a, abs(split - p1_min), abs(split - p1_max))
-    if min(margins) <= 10 * h:
+    # A default step that underflows to 0 fails this too.
+    if not 0 < 10 * h < min(margins):
         raise BoundaryProximityError(
             f"profile within 10h of a case or region boundary (margin {min(margins):.3g}, h {h:.3g})"
         )
@@ -370,21 +371,20 @@ def _row_bands(rule: ReferenceRule, a: float, g: float, top: float) -> list[tupl
     """(centre, half-width) in b of each band where the report on row a can change.
 
     That is where the locals start to win, at b = g, and where split - lo or
-    split - hi crosses +-tol; on each case piece both are linear in b, read
-    off the piece's closed form at its two ends.
+    split - hi crosses +-tol; on each case piece all three are linear in b,
+    read off the closed form and ``llg_segment_ends`` at the piece's two ends.
     """
     guard = _SPAN_GUARD * g + _SPAN_FLOOR
     tol = _kink_tolerance(g)
-    hi = min(a, g)
     entries = _BY_RULE[id(rule)]
     bands = [(g - a - TIE_TOLERANCE * g, guard), (g, guard)]
-    # Pieces b <= g and b > g, in the case of their right end q. On the first
-    # the segment's lower end is g - b (slope -1); on the second it is 0.
-    for p, q, lo_p, lo_slope in ((0.0, g, g, -1.0), (g, top, 0.0, 0.0)):
+    # Pieces b <= g and b > g, in the case of their right end q.
+    for p, q in ((0.0, g), (g, top)):
         form = entries[_case_index(a, q, g)][0]
         split_p = even_split(g, *form(a, p, g))
         slope = (even_split(g, *form(a, q, g)) - split_p) / (q - p)
-        for value, d in ((split_p - lo_p, slope - lo_slope), (split_p - hi, slope)):
+        for end_p, end_q in zip(llg_segment_ends(a, p, g), llg_segment_ends(a, q, g)):
+            value, d = split_p - end_p, slope - (end_q - end_p) / (q - p)
             for t in (-tol, tol):
                 if d:
                     bands.append((p + (t - value) / d, guard / abs(d)))

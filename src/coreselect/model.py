@@ -7,14 +7,14 @@ them: run along the chain of bidders 1..n it gives the efficient
 allocation, with its tie-broken assignment, and run over every bidder
 coalition it gives the coalition value table that ``coalitional_value``
 reads. Welfares within ``TIE_TOLERANCE`` times the instance's largest bid
-of the best one tie with it, so the tie window scales with the bids.
+(``scale``) of the best one tie with it, so the tie window scales with them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 MAX_BIDDERS = 12
@@ -25,6 +25,13 @@ MAX_GOODS = 8
 TIE_TOLERANCE = 1e-12
 
 LLG_GOODS = ("g1", "g2")
+
+# SHAPLEY_WEIGHTS[p][t] = t! (p - t - 1)! / p!: the share of the p! arrival
+# orders of a p-player game in which a player finds a given t others there.
+SHAPLEY_WEIGHTS = tuple(
+    tuple(math.factorial(t) * math.factorial(p - t - 1) / math.factorial(p) for t in range(p))
+    for p in range(MAX_BIDDERS + 2)
+)
 
 
 class SizeLimitError(ValueError):
@@ -76,14 +83,12 @@ class LlgBidProfile:
     def locals_win(self) -> bool:
         """True when the engine awards both goods to the locals.
 
-        This is the engine's comparison written out: the global bid wins only
-        when it beats the locals' joint bid by more than ``TIE_TOLERANCE``
-        times the largest bid. ``g`` serves as that scale. A local bid above
-        ``g`` puts the locals' sum above ``g``, so they win at any tolerance;
-        otherwise ``g`` is the largest bid. Taking ``g`` rather than a max of
-        the three keeps this cheap on region maps, which call it per cell.
+        The engine's tie rule (``_ties``) between the global bid and the
+        locals' joint bid, with ``g`` as the scale: a local bid above ``g``
+        puts the locals' sum above it, so they win at any tolerance, and
+        otherwise ``g`` is the largest bid.
         """
-        return self.g <= self.a + self.b + TIE_TOLERANCE * self.g
+        return _ties(self.g, self.a + self.b, TIE_TOLERANCE * self.g)
 
     def to_instance(self) -> "AuctionInstance":
         return llg_instance(self.a, self.b, self.g)
@@ -124,6 +129,7 @@ class AuctionInstance:
 
     goods: tuple[str, ...]
     bidders: tuple[Bidder, ...]
+    scale: float = field(init=False, repr=False, compare=False)  # largest bid, 0.0 if none
 
     def __post_init__(self) -> None:
         if len(set(self.goods)) != len(self.goods):
@@ -138,7 +144,7 @@ class AuctionInstance:
         declared = set(self.goods)
         # The sum of each bidder's largest bid bounds every welfare the engine
         # sums, since float addition is monotone.
-        total = 0.0
+        total = scale = 0.0
         for bidder in self.bidders:
             largest = 0.0
             for bid in bidder.bids:
@@ -154,8 +160,10 @@ class AuctionInstance:
                     )
                 largest = max(largest, bid.value)
             total += largest
+            scale = max(scale, largest)
         if not total < math.inf:
             raise ValueError("the bidders' largest bids must have a finite sum")
+        object.__setattr__(self, "scale", scale)
 
     @property
     def n(self) -> int:
@@ -205,7 +213,7 @@ class AuctionInstance:
         return _instance_options(self)
 
     @_solved_once
-    def _rows(self) -> tuple[list, float]:
+    def _rows(self) -> list:
         """``_program_rows`` of the instance, built once for both program runs."""
         return _program_rows(self)
 
@@ -276,14 +284,11 @@ def _shapley_payoffs(
 
     Bidder i's payoff sums, over the coalitions S without i in mask order,
     the weight of |S| times i's marginal value table[S + i] - table[S]. The
-    auctioneer, when counted as a player, zeroes every coalition without
-    her, which changes only the weights.
+    auctioneer, as player n + 1, zeroes every coalition without her, which
+    shifts the weights to those of |S| + 1 others among n + 1 players.
     """
-    factorial = math.factorial
-    plain = [factorial(s) * factorial(n - s - 1) / factorial(n) for s in range(n)]
-    with_auctioneer = [
-        factorial(s + 1) * factorial(n - s - 1) / factorial(n + 1) for s in range(n)
-    ]
+    plain = SHAPLEY_WEIGHTS[n]
+    with_auctioneer = SHAPLEY_WEIGHTS[n + 1][1:]
     without, with_ = [], []
     for i in range(n):
         bit = 1 << i
@@ -367,17 +372,18 @@ def _goods_mask_program(
     A coalition holding bidder n is never extended, so only its full-mask
     entry is relaxed.
 
-    The tie tolerance is ``TIE_TOLERANCE`` times the instance's largest
-    bid, the same for every coalition. Where no other welfare ties a
+    The tie tolerance is ``TIE_TOLERANCE`` times the instance's ``scale``,
+    the same for every coalition. Where no other welfare ties a
     coalition's best one, that is its tie-broken welfare; otherwise, and
     for the grand coalition of the chain, ``_tie_broken`` traces the
-    assignment. The per-option rows and the tolerance come from
-    ``_program_rows``, built once per instance for both runs.
+    assignment. The per-option rows come from ``_program_rows``, built once
+    per instance for both runs.
     """
     n = instance.n
     full = (1 << instance.m) - 1
     options = instance.options
-    relaxations, tol = instance._rows
+    relaxations = instance._rows
+    tol = TIE_TOLERANCE * instance.scale
     table = [0.0] * (1 << n)
     picks: list[int] = []
     # A layer is (best, upper bound on the others, index of the bidder added
@@ -421,18 +427,16 @@ def _goods_mask_program(
     return table, picks
 
 
-def _program_rows(instance: AuctionInstance) -> tuple[list, float]:
+def _program_rows(instance: AuctionInstance) -> list:
     """Per bidder and positive option, the goods-mask program's relaxation row.
 
     A row is the option's value, the (rest, goods) mask pairs it relaxes for
     every goods mask (None for bidder n, which is never extended) and the
-    pair for the full mask alone. Also returns the tie tolerance,
-    ``TIE_TOLERANCE`` times the instance's largest bid.
+    pair for the full mask alone.
     """
     n = instance.n
     full = (1 << instance.m) - 1
     relaxations = []
-    largest = 0.0
     for i, bidder_options in enumerate(instance.options):
         rows = []
         for bundle, value, _ in bidder_options[:-1]:
@@ -442,10 +446,8 @@ def _program_rows(instance: AuctionInstance) -> tuple[list, float]:
                 else None
             )
             rows.append((value, pairs, [(full & ~bundle, full)]))
-            if value > largest:
-                largest = value
         relaxations.append(rows)
-    return relaxations, TIE_TOLERANCE * largest
+    return relaxations
 
 
 def _ties(best: float, welfare: float, tol: float) -> bool:

@@ -16,7 +16,7 @@ from enum import Enum
 from itertools import permutations
 from math import factorial
 
-from .model import AuctionInstance, SizeLimitError
+from .model import SHAPLEY_WEIGHTS, AuctionInstance, SizeLimitError
 
 PERMUTATION_ORACLE_MAX_BIDDERS = 6
 
@@ -79,22 +79,23 @@ def auctioneer_payoff(instance: AuctionInstance) -> float:
     Coalitions without the auctioneer are worth nothing, so her marginal
     contribution to a bidder set S is the coalitional value of S itself.
     """
-    n = instance.n
+    weights = SHAPLEY_WEIGHTS[instance.n + 1]
     table = instance.coalition_values
     total = 0.0
-    for mask in range(1 << n):
-        s = mask.bit_count()
-        total += factorial(s) * factorial(n - s) / factorial(n + 1) * table[mask]
+    for mask in range(1 << instance.n):
+        total += weights[mask.bit_count()] * table[mask]
     return total
 
 
-def shapley_payoffs_by_enumeration(
-    instance: AuctionInstance, with_auctioneer: bool = False
+def _arrival_order_payoffs(
+    instance: AuctionInstance, with_auctioneer: bool
 ) -> tuple[float, ...]:
-    """Average marginal contribution over every arrival order.
+    """Each player's average marginal contribution over arrival orders.
 
-    Independent cross-check for the subset-weighted computation; factorial in
-    the bidder count, so capped at 6 bidders.
+    The auctioneer is player n + 1, last in the result, and a coalition
+    without her is worth nothing. Without ``with_auctioneer`` only the
+    orders where she arrives first count, which is the bidders' own game.
+    Factorial in the bidder count, so capped at 6 bidders.
     """
     n = instance.n
     if n > PERMUTATION_ORACLE_MAX_BIDDERS:
@@ -102,47 +103,34 @@ def shapley_payoffs_by_enumeration(
             f"permutation oracle supports at most {PERMUTATION_ORACLE_MAX_BIDDERS} bidders"
         )
     table = instance.coalition_values
-    totals = [0.0] * n
-    if not with_auctioneer:
-        for order in permutations(range(n)):
-            mask = 0
-            for i in order:
+    totals = [0.0] * (n + 1)
+    for order in permutations(range(n + 1)):
+        if not with_auctioneer and order[0] != n:
+            continue
+        mask = 0
+        arrived = False
+        for i in order:
+            if i == n:
+                arrived = True
+                totals[n] += table[mask]
+                continue
+            if arrived:
                 totals[i] += table[mask | (1 << i)] - table[mask]
-                mask |= 1 << i
-        count = factorial(n)
-    else:
-        auctioneer = n
-        for order in permutations(range(n + 1)):
-            mask = 0
-            arrived = False
-            for i in order:
-                if i == auctioneer:
-                    arrived = True
-                    continue
-                if arrived:
-                    totals[i] += table[mask | (1 << i)] - table[mask]
-                mask |= 1 << i
-        count = factorial(n + 1)
+            mask |= 1 << i
+    count = factorial(n + with_auctioneer)
     return tuple(total / count for total in totals)
 
 
+def shapley_payoffs_by_enumeration(
+    instance: AuctionInstance, with_auctioneer: bool = False
+) -> tuple[float, ...]:
+    """The bidders' arrival-order averages: the cross-check for ``shapley_payoffs``."""
+    return _arrival_order_payoffs(instance, with_auctioneer)[:-1]
+
+
 def auctioneer_payoff_by_enumeration(instance: AuctionInstance) -> float:
-    """Arrival-order average of the auctioneer's marginal contribution (at most 6 bidders)."""
-    n = instance.n
-    if n > PERMUTATION_ORACLE_MAX_BIDDERS:
-        raise SizeLimitError(
-            f"permutation oracle supports at most {PERMUTATION_ORACLE_MAX_BIDDERS} bidders"
-        )
-    table = instance.coalition_values
-    total = 0.0
-    for order in permutations(range(n + 1)):
-        mask = 0
-        for i in order:
-            if i == n:
-                total += table[mask]
-                break
-            mask |= 1 << i
-    return total / factorial(n + 1)
+    """The auctioneer's arrival-order average: the cross-check for ``auctioneer_payoff``."""
+    return _arrival_order_payoffs(instance, True)[-1]
 
 
 def reference_point(instance: AuctionInstance, rule: ReferenceRule) -> tuple[float, ...]:

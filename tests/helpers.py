@@ -17,6 +17,7 @@ from coreselect import (
     ReferenceRule,
     projection_derivative,
 )
+from coreselect.core import CORE_TOLERANCE
 from coreselect.model import TIE_TOLERANCE
 
 
@@ -24,16 +25,29 @@ def bounded_floats(low: float = 0.0, high: float = 2.0):
     return st.floats(low, high, allow_nan=False, allow_infinity=False)
 
 
+def scalable_floats(low: float = 0.0, high: float = 2.0):
+    """``bounded_floats`` with values below 1e-200 drawn as 0.0.
+
+    Scaling by 2**-30 then leaves every value, sum and difference normal,
+    so it changes no rounding.
+    """
+    return bounded_floats(low, high).map(lambda x: x if x >= 1e-200 else 0.0)
+
+
 @st.composite
-def llg_profiles(draw, g_low: float = 0.1, g_high: float = 2.0) -> LlgBidProfile:
-    g = draw(bounded_floats(g_low, g_high))
-    a = draw(bounded_floats(0.0, 2 * g))
-    b = draw(bounded_floats(0.0, 2 * g))
+def llg_profiles(
+    draw, g_low: float = 0.1, g_high: float = 2.0, floats=bounded_floats
+) -> LlgBidProfile:
+    g = draw(floats(g_low, g_high))
+    a = draw(floats(0.0, 2 * g))
+    b = draw(floats(0.0, 2 * g))
     return LlgBidProfile(a, b, g)
 
 
 @st.composite
-def instances(draw, max_bidders: int = 4, max_goods: int = 3) -> AuctionInstance:
+def instances(
+    draw, max_bidders: int = 4, max_goods: int = 3, floats=bounded_floats
+) -> AuctionInstance:
     m = draw(st.integers(1, max_goods))
     goods = tuple(f"g{k}" for k in range(1, m + 1))
     n = draw(st.integers(1, max_bidders))
@@ -46,7 +60,7 @@ def instances(draw, max_bidders: int = 4, max_goods: int = 3) -> AuctionInstance
                 unique=True,
             )
         )
-        bids = tuple(Bid(bundle, draw(bounded_floats(0.0, 5.0))) for bundle in bundles)
+        bids = tuple(Bid(bundle, draw(floats(0.0, 5.0))) for bundle in bundles)
         bidders.append(Bidder(i, bids))
     return AuctionInstance(goods, tuple(bidders))
 
@@ -71,10 +85,19 @@ def twelve_bidder_payments() -> tuple[float, ...]:
     return tuple(rng.uniform(0.0, 0.2) for _ in range(12))
 
 
+def largest_bid(instance: AuctionInstance) -> float:
+    """The instance's largest bid, 0.0 without any: the oracles' own scale."""
+    return max((bid.value for bidder in instance.bidders for bid in bidder.bids), default=0.0)
+
+
 def tie_tolerance(instance: AuctionInstance) -> float:
     """The engine's tie tolerance for the instance: a fraction of its largest bid."""
-    values = [bid.value for bidder in instance.bidders for bid in bidder.bids]
-    return TIE_TOLERANCE * max(values, default=0.0)
+    return TIE_TOLERANCE * largest_bid(instance)
+
+
+def core_tolerance(instance: AuctionInstance) -> float:
+    """How far a core condition may be missed: a fraction of the largest bid."""
+    return CORE_TOLERANCE * largest_bid(instance)
 
 
 def exhaustive_best(options: Sequence, tol: float) -> tuple[float, list[frozenset[str]]]:

@@ -37,6 +37,10 @@ VERIFY_TABLE_SEED_7_SAMPLES_60 = (
 )
 
 
+# sha256 of `verify-table --seed 7 --samples 1000` stdout.
+VERIFY_TABLE_SEED_7_SHA256 = "7885271742bcf8bc3f96f1bb01b6608924b41010496a508670243be77458a6eb"
+
+
 # sha256 of `core-check` stdout for the fixed 12-bidder instance and payments
 # in tests/helpers.py: 1,641 violations, 423,346 bytes.
 CORE_CHECK_TWELVE_BIDDERS_SHA256 = "62c1e1670a0d938df4a21f6dd9818699ccc998bf71828c4e9286ffdf82043731"
@@ -291,14 +295,23 @@ class TestDerivative:
         assert "boundary=1" in out
 
     def test_small_interior_profile_is_not_on_a_kink(self, capsys):
-        # The kink tolerance scales with g, so at bids near 1e-9 only profiles
-        # near a segment end are flagged, as at bids near 1.
+        # The kink tolerance and the default step scale with the bids, so at
+        # bids near 1e-9 only profiles near a segment end are flagged and the
+        # finite difference runs, as at bids near 1.
         code, out, _ = run(
             capsys, "derivative", "--llg", "1e-9", "2e-9", "2.5e-9", "--rule", "vcg"
         )
         assert code == 0
-        assert out.startswith("case=locals_weak region=interior d=0.500000 ")
+        assert out.startswith("case=locals_weak region=interior d=0.500000 numeric=0.500000 ")
         assert "boundary=1" not in out
+
+    def test_step_underflowing_to_zero_reports_numeric_na(self, capsys):
+        # 1e-5 * max(g, a) rounds to 0 for these subnormal bids.
+        code, out, _ = run(
+            capsys, "derivative", "--llg", "2e-320", "1.5e-320", "1e-320", "--rule", "vcg"
+        )
+        assert code == 0
+        assert "numeric=n/a" in out
 
 
 class TestRegionMap:
@@ -745,6 +758,11 @@ class TestVerifyTable:
         assert "closed-form reference table: 24/24 cells passed" in out
         assert "all suites passed" in out
         assert out == VERIFY_TABLE_SEED_7_SAMPLES_60
+
+    def test_full_run_output_digest(self, capsys):
+        code, out, _ = run(capsys, "verify-table", "--seed", "7", "--samples", "1000")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_TABLE_SEED_7_SHA256
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_no_samples_is_usage_error(self, capsys, samples):

@@ -2,30 +2,39 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coreselect import (
+    AuctionInstance,
+    Bid,
+    Bidder,
+    BoundaryProximityError,
     CaseLabel,
+    CoreConstraint,
     CoreViolation,
+    GlobalWinnerError,
     LlgBidProfile,
     core_violations,
     first_price,
     llg_instance,
     llg_segment_ends,
+    numeric_derivative,
     project_to_mrc,
+    projection_derivative,
     reference_point,
     sample_llg_profile,
     shapley_payments,
     vcg,
 )
-from coreselect.core import CORE_TOLERANCE
 from coreselect.reference import ReferenceRule
 from helpers import (
     bounded_floats,
     core_constraints,
+    core_tolerance,
     instances,
     llg_profiles,
+    scalable_floats,
     slack,
     twelve_bidder_instance,
     twelve_bidder_payments,
@@ -84,6 +93,20 @@ class TestCoreMembership:
                 instance = profile.to_instance()
                 assert not core_violations(instance, first_price(instance))
 
+    def test_tolerance_scales_with_the_largest_bid(self):
+        # Missing bidder 1's cap by 5e-10 is within 1e-9 times a largest bid
+        # of 0.8, but not of one of 0.08.
+        assert core_violations(llg_instance(0.4, 0.5, 0.8), (0.4 + 5e-10, 0.4, 0.0)) == []
+        instance = llg_instance(0.04, 0.05, 0.08)
+        (violation,) = core_violations(instance, (0.04 + 5e-10, 0.04, 0.0))
+        assert violation.constraint.kind == "ir"
+
+    def test_no_positive_bid_means_zero_tolerance(self):
+        violations = core_violations(llg_instance(0.0, 0.0, 0.0), (-1e-110, 0.0, 0.0))
+        assert ("nonneg", frozenset({1})) in [
+            (v.constraint.kind, v.constraint.coalition) for v in violations
+        ]
+
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             core_violations(llg_instance(0.4, 0.5, 0.8), (0.1, 0.2))
@@ -120,10 +143,11 @@ def violation_bits(violations):
 
 def constraint_path(instance, payments):
     """The oracle for core_violations: each violated ``helpers.core_constraints``, with its slack."""
+    tol = core_tolerance(instance)
     return [
         CoreViolation(c, slack(c, payments))
         for c in core_constraints(instance)
-        if slack(c, payments) < -CORE_TOLERANCE
+        if slack(c, payments) < -tol
     ]
 
 
@@ -174,6 +198,72 @@ class TestNearFloatMax:
         expected = project_to_mrc(small, reference_point(small.to_instance(), rule))
         found = project_to_mrc(large, reference_point(large.to_instance(), rule))
         assert found == tuple(value * scale for value in expected)
+
+
+def scaled_violations(violations, factor):
+    """The violations with every bound and slack multiplied by ``factor``."""
+    return [
+        CoreViolation(
+            CoreConstraint(c.kind, c.coalition, c.payers, c.bound * factor), v.slack * factor
+        )
+        for v in violations
+        for c in [v.constraint]
+    ]
+
+
+def numeric_outcome(profile, rule):
+    """``numeric_derivative`` as float bits, or the error it raises."""
+    try:
+        return numeric_derivative(profile, rule).hex()
+    except (BoundaryProximityError, GlobalWinnerError) as exc:
+        return type(exc)
+
+
+class TestPowerOfTwoScaling:
+    """Scaling every bid and payment by 2**k changes no rounding, and every
+    tolerance scales with the bids, so each output scales bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        instance=instances(max_bidders=6, floats=scalable_floats),
+        k=st.integers(-30, 40),
+    )
+    def test_random_instances(self, data, instance, k):
+        payments = data.draw(
+            st.lists(scalable_floats(0.0, 5.0), min_size=instance.n, max_size=instance.n)
+        )
+        factor = 2.0**k
+        scaled = AuctionInstance(
+            instance.goods,
+            tuple(
+                Bidder(bidder.id, tuple(Bid(bid.bundle, bid.value * factor) for bid in bidder.bids))
+                for bidder in instance.bidders
+            ),
+        )
+        found = core_violations(scaled, [paid * factor for paid in payments])
+        expected = scaled_violations(core_violations(instance, payments), factor)
+        assert violation_bits(found) == violation_bits(expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(profile=llg_profiles(floats=scalable_floats), k=st.integers(-30, 40))
+    # At g = 1e9 the lower-pinned payment g - (g - b) misses bidder 2's cap
+    # by 6e-8; at 2**-30 that scale, by 6e-17.
+    @example(profile=LlgBidProfile(833538891.5573088, 438430732.561387, 1e9), k=-30)
+    def test_projected_llg_profiles(self, profile, k):
+        factor = 2.0**k
+        scaled = LlgBidProfile(profile.a * factor, profile.b * factor, profile.g * factor)
+        instance, scaled_instance = profile.to_instance(), scaled.to_instance()
+        for rule in ReferenceRule:
+            projected = project_to_mrc(profile, reference_point(instance, rule))
+            scaled_projected = project_to_mrc(scaled, reference_point(scaled_instance, rule))
+            assert [x.hex() for x in scaled_projected] == [(x * factor).hex() for x in projected]
+            found = core_violations(scaled_instance, scaled_projected)
+            expected = scaled_violations(core_violations(instance, projected), factor)
+            assert violation_bits(found) == violation_bits(expected)
+            assert numeric_outcome(scaled, rule) == numeric_outcome(profile, rule)
+            if profile.locals_win():
+                assert projection_derivative(scaled, rule) is projection_derivative(profile, rule)
 
 
 class TestPaymentSequences:

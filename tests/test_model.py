@@ -22,7 +22,7 @@ from coreselect import (
 )
 from coreselect.model import TIE_TOLERANCE, _instance_options
 from coreselect.verify import random_instance
-from helpers import exhaustive_best, instances, realized_welfare, tie_tolerance
+from helpers import exhaustive_best, instances, largest_bid, realized_welfare, tie_tolerance
 
 G1 = frozenset({"g1"})
 G2 = frozenset({"g2"})
@@ -363,6 +363,17 @@ class TestLocalsWin:
     @example(profile=LlgBidProfile(0.0, 0.0, 1e-12))
     def test_matches_engine_near_ties(self, profile):
         assert profile.locals_win() == self.engine_locals_win(profile)
+
+
+class TestScale:
+    @settings(max_examples=60, deadline=None)
+    @given(instance=instances())
+    @example(instance=llg_instance(0.0, 0.0, 0.0))
+    @example(instance=AuctionInstance(("g1",), ()))
+    def test_scale_is_the_largest_bid(self, instance):
+        assert instance.scale == largest_bid(instance)
+        # Not part of the instance's value.
+        assert "scale" not in repr(instance)
 
 
 class TestRealizedWelfare:

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -228,6 +229,55 @@ def shapley_payoffs_one_variant(instance, with_auctioneer):
     return tuple(payoffs)
 
 
+def auctioneer_payoff_per_mask(instance):
+    """The auctioneer's subset-weighted payoff with its weight computed per mask."""
+    n = instance.n
+    table = instance.coalition_values
+    total = 0.0
+    for mask in range(1 << n):
+        s = mask.bit_count()
+        total += factorial(s) * factorial(n - s) / factorial(n + 1) * table[mask]
+    return total
+
+
+def payoffs_by_own_walk(instance, with_auctioneer):
+    """Arrival-order payoffs from a walk over the n bidders, or the n + 1 players."""
+    n = instance.n
+    table = instance.coalition_values
+    totals = [0.0] * n
+    players = n + 1 if with_auctioneer else n
+    for order in permutations(range(players)):
+        mask = 0
+        arrived = not with_auctioneer
+        for i in order:
+            if i == n:
+                arrived = True
+                continue
+            if arrived:
+                totals[i] += table[mask | (1 << i)] - table[mask]
+            mask |= 1 << i
+    return tuple(total / factorial(players) for total in totals)
+
+
+def auctioneer_payoff_by_own_walk(instance):
+    """The auctioneer's arrival-order average from a walk that stops at her arrival."""
+    n = instance.n
+    table = instance.coalition_values
+    total = 0.0
+    for order in permutations(range(n + 1)):
+        mask = 0
+        for i in order:
+            if i == n:
+                total += table[mask]
+                break
+            mask |= 1 << i
+    return total / factorial(n + 1)
+
+
+def bits(values):
+    return [x.hex() for x in values]
+
+
 class TestShapleyCache:
     @settings(max_examples=60, deadline=None)
     @given(instance=instances(max_bidders=6, max_goods=4))
@@ -236,8 +286,16 @@ class TestShapleyCache:
             expected = shapley_payoffs_one_variant(instance, with_auctioneer)
             cached = instance.shapley_values[1 if with_auctioneer else 0]
             assert cached == expected
-            assert [x.hex() for x in cached] == [x.hex() for x in expected]
+            assert bits(cached) == bits(expected)
             assert shapley_payoffs(instance, with_auctioneer) == expected
+            assert bits(shapley_payoffs_by_enumeration(instance, with_auctioneer)) == bits(
+                payoffs_by_own_walk(instance, with_auctioneer)
+            )
+        assert auctioneer_payoff(instance).hex() == auctioneer_payoff_per_mask(instance).hex()
+        assert (
+            auctioneer_payoff_by_enumeration(instance).hex()
+            == auctioneer_payoff_by_own_walk(instance).hex()
+        )
 
     def test_repeated_calls_equal_fresh_instances(self):
         rng = random.Random(8)
