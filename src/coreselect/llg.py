@@ -191,6 +191,26 @@ _SENSITIVITY: dict[CaseLabel, dict[ReferenceRule, Fraction]] = {
 }
 
 
+# Below this bid sum no closed form overflows: the largest multiple of a bid
+# that any of them takes is 7 * a, finite for a < 2**1021.
+_FORM_LIMIT = 2.0**1021
+
+
+def _evaluate(form: _FormPair, a: float, b: float, g: float) -> tuple[float, float]:
+    """``form(a, b, g)``, evaluated at an eighth of the bids and scaled back near overflow.
+
+    The forms multiply before they divide (``7 * a / 12``), so a bid sum
+    of ``_FORM_LIMIT`` or more could overflow them. Scaling by a power of
+    two changes no rounding (barring subnormal bids), so the rescaled value
+    is the one the form gives with unbounded exponents; below the limit
+    this is the form's own value.
+    """
+    if a + b + g < _FORM_LIMIT:
+        return form(a, b, g)
+    p1, p2 = form(a / 8, b / 8, g / 8)
+    return 8 * p1, 8 * p2
+
+
 # Region indices of the report tables, in the order of _REPORT_REGIONS.
 _IR1, _IR2, _NONNEG, _INTERIOR = range(4)
 _REPORT_REGIONS = (Region.IR1_BINDING, Region.IR2_BINDING, Region.NONNEG_BINDING, Region.INTERIOR)
@@ -228,7 +248,7 @@ def closed_form_for_case(
     Useful for checking continuity across case boundaries.
     """
     form, _, _ = _BY_RULE[id(rule)][_CASES.index(case)]
-    return form(profile.a, profile.b, profile.g)
+    return _evaluate(form, profile.a, profile.b, profile.g)
 
 
 def closed_form_reference(profile: LlgBidProfile, rule: ReferenceRule) -> tuple[float, float]:
@@ -239,7 +259,7 @@ def closed_form_reference(profile: LlgBidProfile, rule: ReferenceRule) -> tuple[
     """
     a, b, g = profile.a, profile.b, profile.g
     form, _, _ = _BY_RULE[id(rule)][_case_index(a, b, g)]
-    return form(a, b, g)
+    return _evaluate(form, a, b, g)
 
 
 def sensitivity_fraction(case: CaseLabel, rule: ReferenceRule) -> Fraction:
@@ -298,7 +318,7 @@ def projection_derivative(profile: LlgBidProfile, rule: ReferenceRule) -> Deriva
         raise _global_winner_error(profile)
     a, b, g = profile.a, profile.b, profile.g
     form, _, reports = _BY_RULE[id(rule)][_case_index(a, b, g)]
-    split = even_split(g, *form(a, b, g))
+    split = even_split(g, *_evaluate(form, a, b, g))
     lo, hi = llg_segment_ends(a, b, g)
     tol = _kink_tolerance(g)
     boundary = abs(split - lo) <= tol or abs(split - hi) <= tol
@@ -381,8 +401,8 @@ def _row_bands(rule: ReferenceRule, a: float, g: float, top: float) -> list[tupl
     # Pieces b <= g and b > g, in the case of their right end q.
     for p, q in ((0.0, g), (g, top)):
         form = entries[_case_index(a, q, g)][0]
-        split_p = even_split(g, *form(a, p, g))
-        slope = (even_split(g, *form(a, q, g)) - split_p) / (q - p)
+        split_p = even_split(g, *_evaluate(form, a, p, g))
+        slope = (even_split(g, *_evaluate(form, a, q, g)) - split_p) / (q - p)
         for end_p, end_q in zip(llg_segment_ends(a, p, g), llg_segment_ends(a, q, g)):
             value, d = split_p - end_p, slope - (end_q - end_p) / (q - p)
             for t in (-tol, tol):

@@ -6,8 +6,11 @@ bidders and 8 goods. One dynamic program over subsets of goods solves
 them: run along the chain of bidders 1..n it gives the efficient
 allocation, with its tie-broken assignment, and run over every bidder
 coalition it gives the coalition value table that ``coalitional_value``
-reads. Welfares within ``TIE_TOLERANCE`` times the instance's largest bid
-(``scale``) of the best one tie with it, so the tie window scales with them.
+reads. Each layer of the program is relaxed only at the goods masks it is
+ever read at (``_program_rows``), which leaves every entry that is read
+bit-identical to relaxing all of them. Welfares within ``TIE_TOLERANCE``
+times the instance's largest bid (``scale``) of the best one tie with it,
+so the tie window scales with them.
 """
 
 from __future__ import annotations
@@ -358,19 +361,21 @@ def _goods_mask_program(
     build; with ``chain`` set, also the option index each bidder takes in
     the grand coalition's assignment, in id order.
 
-    A layer holds, for every goods mask g, the best welfare the coalition
-    reaches using only goods in g and an upper bound on the welfare of
-    every other assignment there, so a second assignment at the best
-    welfare raises the bound to it. Coalition S is built from S without its highest bidder
-    h: for each of h's options, every mask g that contains the bundle is
-    relaxed from ``parent[g & ~bundle] + value``. Adding the highest bidder
-    last makes every candidate the id-order float sum of its assignment,
-    and since float addition is monotone, the best of the parent plus a
-    value is the best of the sums. With ``chain`` set only the coalitions
-    {1}, {1, 2}, ..., {1..n} are built; otherwise every coalition is, depth
-    first, so only the layers on the current path, at most n + 1, are live.
-    A coalition holding bidder n is never extended, so only its full-mask
-    entry is relaxed.
+    A layer holds, for each goods mask g it is read at, the best welfare
+    the coalition reaches using only goods in g and an upper bound on the
+    welfare of every other assignment there, so a second assignment at the
+    best welfare raises the bound to it. Coalition S is built from S
+    without its highest bidder h: for each of h's options, each mask g in
+    h's read set (``_program_rows``) that contains the bundle is relaxed
+    from ``parent[g & ~bundle] + value``. Other entries keep the parent's
+    values, which nothing reads, and each entry that is read sees the same
+    candidates in the same order as with every mask relaxed, so the result
+    is bit-identical. Adding the highest bidder last makes every candidate
+    the id-order float sum of its assignment, and since float addition is
+    monotone, the best of the parent plus a value is the best of the sums.
+    With ``chain`` set only the coalitions {1}, {1, 2}, ..., {1..n} are
+    built; otherwise every coalition is, depth first, so only the layers on
+    the current path, at most n + 1, are live.
 
     The tie tolerance is ``TIE_TOLERANCE`` times the instance's ``scale``,
     the same for every coalition. Where no other welfare ties a
@@ -400,8 +405,8 @@ def _goods_mask_program(
         values, lower = layer[0], layer[1]
         child_values = values.copy()
         child_lower = lower.copy()
-        for value, pairs, full_pair in relaxations[h]:
-            for rest, goods in pairs if extended else full_pair:
+        for value, pairs in relaxations[h]:
+            for rest, goods in pairs:
                 candidate = values[rest] + value
                 best = child_values[goods]
                 if candidate > best:
@@ -430,23 +435,34 @@ def _goods_mask_program(
 def _program_rows(instance: AuctionInstance) -> list:
     """Per bidder and positive option, the goods-mask program's relaxation row.
 
-    A row is the option's value, the (rest, goods) mask pairs it relaxes for
-    every goods mask (None for bidder n, which is never extended) and the
-    pair for the full mask alone.
+    A row is the option's value and the (rest, goods) mask pairs it relaxes:
+    one for each goods mask in the bidder's read set that contains the
+    bundle, in ascending order of goods, with rest = goods & ~bundle.
+
+    The read set of bidder i is every goods mask at which a layer whose
+    highest member is i is ever read: ``full``, and ``full`` without any
+    union of pairwise-disjoint positive option bundles of bidders above i,
+    one bundle each. Bidder n's layers are read only at ``full``; bidder i's
+    read set is bidder i + 1's plus the rest masks of bidder i + 1's pairs,
+    so it is built walking the bidders from n down. A higher bidder relaxes
+    its layer from a lower one's only at those rest masks, and the
+    trace-backs (``_best_path``, ``_tie_broken``) go down from ``full`` the
+    same way, so every entry that is read is relaxed. Each of them sees
+    the same candidates in the same order as when every mask is relaxed,
+    so tables, allocations and tie-breaks are bit-identical.
     """
-    n = instance.n
-    full = (1 << instance.m) - 1
+    reads = {(1 << instance.m) - 1}
     relaxations = []
-    for i, bidder_options in enumerate(instance.options):
-        rows = []
-        for bundle, value, _ in bidder_options[:-1]:
-            pairs = (
-                [(rest, rest | bundle) for rest in range(full + 1) if not rest & bundle]
-                if i < n - 1
-                else None
-            )
-            rows.append((value, pairs, [(full & ~bundle, full)]))
+    for bidder_options in reversed(instance.options):
+        read = sorted(reads)
+        rows = [
+            (value, [(goods & ~bundle, goods) for goods in read if not bundle & ~goods])
+            for bundle, value, _ in bidder_options[:-1]
+        ]
+        for _, pairs in rows:
+            reads.update(rest for rest, _ in pairs)
         relaxations.append(rows)
+    relaxations.reverse()
     return relaxations
 
 

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -446,6 +447,29 @@ class TestOverflowingBidSums:
         assert (code, out) == (2, "")
         assert "Traceback" not in err
         assert err.startswith("error: LLG bids must have a finite sum a + b + g"), err
+
+    def test_closed_forms_near_overflow(self, capsys):
+        # The bid sum is finite, but 7 * a in the closed form is not.
+        code, out, _ = run(
+            capsys,
+            "payments",
+            "--llg",
+            "5.9e307",
+            "5.9e307",
+            "5.98e307",
+            "--rule",
+            "shapley-with-auctioneer",
+        )
+        assert code == 0
+        case, p1, p2 = out.split()
+        assert case == "case=locals_weak"
+        engine = reference_point(
+            llg_instance(5.9e307, 5.9e307, 5.98e307), ReferenceRule.SHAPLEY_PAYMENT_WITH_AUCTIONEER
+        )
+        for printed, expected in zip((p1, p2), engine):
+            value = float(printed.split("=")[1])
+            assert math.isfinite(value)
+            assert value == pytest.approx(expected, rel=1e-12)
 
     def test_instance(self, capsys, tmp_path):
         # Both bidders win, and their welfare 2e308 overflows to inf.

@@ -26,7 +26,7 @@ from coreselect import (
     sensitivity2,
     sensitivity_fraction,
 )
-from coreselect.llg import check_threshold_table
+from coreselect.llg import _FORMS, _SENSITIVITY, check_threshold_table
 from coreselect.reference import ReferenceRule as R
 from coreselect.reference import reference_point
 from helpers import llg_profiles, region_map_by_cell
@@ -157,6 +157,59 @@ class TestSensitivity:
                 assert estimate == pytest.approx(
                     float(sensitivity_fraction(case, rule)), abs=1e-6
                 )
+
+
+def _exact(value):
+    """A form's output as a Fraction: Fraction arithmetic, or a float constant 0.0."""
+    assert isinstance(value, Fraction) or value == 0.0, value
+    return Fraction(value)
+
+
+def _coefficients(form):
+    """Per component, the coefficients of a, b and g of a form linear in (a, b, g)."""
+    units = [form(*(Fraction(k == j) for k in range(3))) for j in range(3)]
+    return tuple(tuple(_exact(unit[component]) for unit in units) for component in range(2))
+
+
+# Adjacent cases and three points on the plane between them: two that span
+# it, and one where the two cases meet.
+_A_IS_G = ((1, 0, 1), (0, 1, 0))
+_B_IS_G = ((0, 1, 1), (1, 0, 0))
+ADJACENT_CASES = [
+    (CaseLabel.LOCALS_WEAK, CaseLabel.LOCAL1_STRONG, (*_A_IS_G, (3, 1, 3))),
+    (CaseLabel.LOCALS_WEAK, CaseLabel.LOCAL2_STRONG, (*_B_IS_G, (1, 3, 3))),
+    (CaseLabel.LOCAL1_STRONG, CaseLabel.LOCALS_STRONG, (*_B_IS_G, (4, 3, 3))),
+    (CaseLabel.LOCAL2_STRONG, CaseLabel.LOCALS_STRONG, (*_A_IS_G, (3, 4, 3))),
+]
+
+
+class TestExactTables:
+    """The hand-entered ``_FORMS`` and ``_SENSITIVITY`` checked in exact rationals."""
+
+    @pytest.mark.parametrize("case", list(CaseLabel))
+    @pytest.mark.parametrize("rule", list(R))
+    def test_forms_are_linear(self, case, rule):
+        form = _FORMS[case][rule]
+        point = (Fraction(7, 5), Fraction(2, 3), Fraction(11, 13))
+        expected = tuple(
+            sum(c * x for c, x in zip(row, point)) for row in _coefficients(form)
+        )
+        assert tuple(_exact(p) for p in form(*point)) == expected
+
+    @pytest.mark.parametrize("left,right,points", ADJACENT_CASES)
+    @pytest.mark.parametrize("rule", list(R))
+    def test_adjacent_cases_agree_on_their_boundary(self, left, right, points, rule):
+        # The forms are linear, so agreeing on two points spanning the plane
+        # means agreeing on all of it.
+        for point in points:
+            bids = [Fraction(x, 7) for x in point]
+            assert _FORMS[left][rule](*bids) == _FORMS[right][rule](*bids), point
+
+    @pytest.mark.parametrize("case", list(CaseLabel))
+    @pytest.mark.parametrize("rule", list(R))
+    def test_sensitivity_is_the_forms_slope(self, case, rule):
+        (da1, _, _), (da2, _, _) = _coefficients(_FORMS[case][rule])
+        assert _SENSITIVITY[case][rule] == da1 - da2
 
 
 class TestRegionInequalities:
@@ -386,6 +439,13 @@ class TestRegionMap:
         assert_same_cells(
             region_map(rule, g * 2.0**k, resolution), region_map(rule, g, resolution)
         )
+
+    @pytest.mark.parametrize("rule", list(R))
+    def test_forms_near_overflow_keep_the_cells(self, rule):
+        # At g = 3 * 2**1020 the grid's bid sums reach 5g, where 7 * a / 12
+        # would overflow; the rescaled forms keep every cell of g = 3.
+        # Resolution 3 is the largest grid the check on 2 * g * i allows there.
+        assert_same_cells(region_map(rule, 3 * 2.0**1020, 3), region_map(rule, 3.0, 3))
 
 
 class TestThresholdTable:

@@ -20,9 +20,16 @@ from coreselect import (
     llg_instance,
     winner_determination,
 )
-from coreselect.model import TIE_TOLERANCE, _instance_options
+from coreselect.model import TIE_TOLERANCE, _instance_options, _program_rows
 from coreselect.verify import random_instance
-from helpers import exhaustive_best, instances, largest_bid, realized_welfare, tie_tolerance
+from helpers import (
+    exhaustive_best,
+    instances,
+    largest_bid,
+    realized_welfare,
+    tie_tolerance,
+    twelve_bidder_instance,
+)
 
 G1 = frozenset({"g1"})
 G2 = frozenset({"g2"})
@@ -190,6 +197,23 @@ def near_tie_instances(draw):
     return AuctionInstance(instance.goods, bidders)
 
 
+def twelve_tie_valued_instance():
+    """12 bidders on 8 goods, three ``TIE_VALUES`` bids of one to four goods each."""
+    rng = random.Random(7)
+    goods = tuple(f"g{k}" for k in range(1, 9))
+    bidders = tuple(
+        Bidder(
+            i,
+            tuple(
+                Bid(frozenset(rng.sample(goods, rng.randint(1, 4))), rng.choice(TIE_VALUES))
+                for _ in range(3)
+            ),
+        )
+        for i in range(1, 13)
+    )
+    return AuctionInstance(goods, bidders)
+
+
 def sliding_ties_instance(scale):
     """Three goods where each tie is within the tolerance of the one before, not of the best."""
     g3 = frozenset({"g3"})
@@ -199,6 +223,20 @@ def sliding_ties_instance(scale):
         Bid(G2 | g3, (0.75e9 - 1.2e-3) * scale),
     )
     return AuctionInstance(("g1", "g2", "g3"), (Bidder(1, first), Bidder(2, second)))
+
+
+class TestProgramRows:
+    def test_llg_read_sets(self):
+        # Goods masks: g1 = 0b01, g2 = 0b10, full = 0b11. The global bidder's
+        # layers are read only at the full mask. Bidder 2's are also read at
+        # the empty mask, which the global package leaves, and its g2 option
+        # fits only the full mask. Bidder 1's are also read at g1 alone,
+        # which bidder 2's g2 leaves.
+        assert _program_rows(llg_instance(0.4, 0.5, 0.8)) == [
+            [(0.4, [(0b00, 0b01), (0b10, 0b11)])],
+            [(0.5, [(0b01, 0b11)])],
+            [(0.8, [(0b00, 0b11)])],
+        ]
 
 
 class TestCoalitionValueTableExact:
@@ -251,19 +289,7 @@ class TestCoalitionValueTableExact:
         assert coalition_value_table(instance) == _search_table(instance) == [0.0, 0.7]
 
     def test_twelve_bidders_eight_goods(self):
-        rng = random.Random(7)
-        goods = tuple(f"g{k}" for k in range(1, 9))
-        bidders = tuple(
-            Bidder(
-                i,
-                tuple(
-                    Bid(frozenset(rng.sample(goods, rng.randint(1, 4))), rng.choice(TIE_VALUES))
-                    for _ in range(3)
-                ),
-            )
-            for i in range(1, 13)
-        )
-        instance = AuctionInstance(goods, bidders)
+        instance = twelve_tie_valued_instance()
         assert coalition_value_table(instance) == _search_table(instance)
 
 
@@ -292,6 +318,14 @@ class TestWinnerDeterminationExact:
         # than the tie tolerance.
         welfare = winner_determination(instance).welfare
         assert max(coalition_value_table(instance)) <= welfare + tie_tolerance(instance)
+
+    # At 12 bidders most layers are those of the highest bidders, whose read
+    # sets hold a handful of the 256 goods masks, so most entries go unrelaxed.
+    def test_twelve_tie_valued_bidders(self):
+        self.assert_matches_search(twelve_tie_valued_instance())
+
+    def test_twelve_bidders(self):
+        self.assert_matches_search(twelve_bidder_instance())
 
     @pytest.mark.parametrize("scale", [1.0, 1e-9])
     def test_ties_do_not_chain_below_the_best(self, scale):
