@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .core import even_split, llg_segment_ends, project_to_mrc
-from .model import TIE_TOLERANCE, LlgBidProfile, llg_instance
+from .model import TIE_TOLERANCE, LlgBidProfile
 from .reference import ReferenceRule, reference_point
 
 # Kink tolerance relative to the global bid g: see _kink_tolerance.
@@ -191,24 +191,32 @@ _SENSITIVITY: dict[CaseLabel, dict[ReferenceRule, Fraction]] = {
 }
 
 
-# Below this bid sum no closed form overflows: the largest multiple of a bid
-# that any of them takes is 7 * a, finite for a < 2**1021.
+# Below this bid sum no closed form or threshold overflows: the largest
+# multiple of a bid that any of them takes is 7 * a, finite for a < 2**1021.
 _FORM_LIMIT = 2.0**1021
 
 
-def _evaluate(form: _FormPair, a: float, b: float, g: float) -> tuple[float, float]:
-    """``form(a, b, g)``, evaluated at an eighth of the bids and scaled back near overflow.
+def _rescaled(a: float, b: float, g: float) -> tuple[int, float, float, float]:
+    """``(k, a / k, b / k, g / k)``: k is 8 where the bid sum reaches ``_FORM_LIMIT``, else 1.
 
-    The forms multiply before they divide (``7 * a / 12``), so a bid sum
-    of ``_FORM_LIMIT`` or more could overflow them. Scaling by a power of
-    two changes no rounding (barring subnormal bids), so the rescaled value
-    is the one the form gives with unbounded exponents; below the limit
-    this is the form's own value.
+    The closed forms and the thresholds multiply before they divide or
+    compare (``7 * a / 12``, ``7 * a + 5 * b < 6 * g``), so such a bid sum
+    could overflow them. Scaling by a power of two changes no rounding
+    (barring subnormal bids), so a form at the scaled bids, times k, is its
+    value with unbounded exponents, and a threshold holds at the scaled
+    bids exactly where it does with unbounded exponents. An integer k keeps
+    ``Fraction`` bids exact.
     """
     if a + b + g < _FORM_LIMIT:
-        return form(a, b, g)
-    p1, p2 = form(a / 8, b / 8, g / 8)
-    return 8 * p1, 8 * p2
+        return 1, a, b, g
+    return 8, a / 8, b / 8, g / 8
+
+
+def _evaluate(form: _FormPair, a: float, b: float, g: float) -> tuple[float, float]:
+    """``form(a, b, g)`` through ``_rescaled``: below the limit, the form's own value."""
+    k, a, b, g = _rescaled(a, b, g)
+    p1, p2 = form(a, b, g)
+    return k * p1, k * p2
 
 
 # Region indices of the report tables, in the order of _REPORT_REGIONS.
@@ -364,7 +372,7 @@ def numeric_derivative(
 
     def pinned_payment(x: float) -> float:
         shifted = LlgBidProfile(x, b, g)
-        return project_to_mrc(shifted, reference_point(llg_instance(x, b, g), rule))[0]
+        return project_to_mrc(shifted, reference_point(shifted.to_instance(), rule))[0]
 
     return (pinned_payment(a + h) - pinned_payment(a - h)) / (2 * h)
 
@@ -584,6 +592,17 @@ THRESHOLD_TABLE: tuple[ThresholdCell, ...] = (
 )
 
 
+def _threshold_holds(threshold: _Threshold, profile: LlgBidProfile) -> bool:
+    """Whether a threshold cell's condition holds at the profile, through ``_rescaled``.
+
+    A None threshold never holds.
+    """
+    if threshold is None:
+        return False
+    _, a, b, g = _rescaled(profile.a, profile.b, profile.g)
+    return threshold(a, b, g)
+
+
 @dataclass
 class ThresholdCheck:
     """Sampled comparison of one threshold cell against direct inequality evaluation."""
@@ -611,8 +630,8 @@ def check_threshold_table(
         stated_example = exact_example = None
         for profile in profiles[cell.case]:
             direct = region_inequalities(profile, cell.rule)[cell.inequality - 1]
-            stated = bool(cell.stated and cell.stated(profile.a, profile.b, profile.g))
-            exact = bool(cell.exact and cell.exact(profile.a, profile.b, profile.g))
+            stated = _threshold_holds(cell.stated, profile)
+            exact = _threshold_holds(cell.exact, profile)
             if direct != stated:
                 stated_mismatches += 1
                 stated_example = stated_example or profile

@@ -3,14 +3,16 @@
 Bids use XOR semantics: each bidder names alternative bundles and wins at
 most one of them (winning none is worth zero). Instances are capped at 12
 bidders and 8 goods. One dynamic program over subsets of goods solves
-them: run along the chain of bidders 1..n it gives the efficient
-allocation, with its tie-broken assignment, and run over every bidder
-coalition it gives the coalition value table that ``coalitional_value``
-reads. Each layer of the program is relaxed only at the goods masks it is
-ever read at (``_program_rows``), which leaves every entry that is read
-bit-identical to relaxing all of them. Welfares within ``TIE_TOLERANCE``
-times the instance's largest bid (``scale``) of the best one tie with it,
-so the tie window scales with them.
+them. Its one step (``_relaxed``) builds a coalition's goods-mask layer
+from the layer of the coalition without its highest bidder, and two walks
+use it: ``winner_determination`` along the chain of bidders 1..n, for the
+efficient allocation and its tie-broken assignment, and
+``coalition_value_table`` over every bidder coalition, for the table that
+``coalitional_value`` reads. Each layer is relaxed only at the goods
+masks it is ever read at (``_program_rows``), which leaves every entry
+that is read bit-identical to relaxing all of them. Welfares within
+``TIE_TOLERANCE`` times the instance's largest bid (``scale``) of the best
+one tie with it, so the tie window scales with them.
 """
 
 from __future__ import annotations
@@ -217,7 +219,7 @@ class AuctionInstance:
 
     @_solved_once
     def _rows(self) -> list:
-        """``_program_rows`` of the instance, built once for both program runs."""
+        """``_program_rows`` of the instance, built once for both walks."""
         return _program_rows(self)
 
 
@@ -318,12 +320,25 @@ def winner_determination(instance: AuctionInstance) -> Allocation:
     win ties, and at an exact locals/global welfare tie in LLG the locals
     win. ``welfare`` is the winning assignment's welfare, the grand
     coalition's entry of ``coalition_value_table``. The goods-mask program
-    runs along the chain of coalitions {1}, {1, 2}, ..., {1..n}.
+    builds only the coalitions {1}, {1, 2}, ..., {1..n}, and the grand
+    coalition's assignment is read off its layers by ``_best_path``, or
+    traced by ``_tie_broken`` where another welfare ties the best one.
     """
+    if not instance.bidders:
+        return Allocation({}, 0.0)
+    full = (1 << instance.m) - 1
     options = instance.options
-    table, picks = _goods_mask_program(instance, chain=True)
+    tol = TIE_TOLERANCE * instance.scale
+    layer = ([0.0] * (full + 1), [-math.inf] * (full + 1), None, None)
+    for h, rows in enumerate(instance._rows):
+        layer = _relaxed(layer, h, rows)
+    welfare = layer[0][full]
+    if _ties(welfare, layer[1][full], tol):
+        welfare, picks = _tie_broken(options, layer, full, tol)
+    else:
+        picks = _best_path(options, layer, full)
     bundles = [bidder_options[k][2] for bidder_options, k in zip(options, picks)]
-    return Allocation(dict(zip(instance.bidder_ids(), bundles)), table[-1])
+    return Allocation(dict(zip(instance.bidder_ids(), bundles)), welfare)
 
 
 def _validated_coalition(instance: AuctionInstance, coalition: Iterable[int]) -> set[int]:
@@ -343,93 +358,66 @@ def coalitional_value(instance: AuctionInstance, coalition: Iterable[int]) -> fl
 def coalition_value_table(instance: AuctionInstance) -> list[float]:
     """Coalitional value of every bidder subset, indexed by bitmask (bit i = bidder id i+1).
 
-    Each entry is the welfare of the coalition's tie-broken assignment from
-    the goods-mask program (``_goods_mask_program``), with the tie
-    tolerance of the whole instance, so it is the welfare
-    ``winner_determination`` would find for the coalition alone.
-    """
-    return _goods_mask_program(instance, chain=False)[0]
-
-
-def _goods_mask_program(
-    instance: AuctionInstance, chain: bool
-) -> tuple[list[float], list[int]]:
-    """The goods-mask dynamic program (Rothkopf, Pekec and Harstad 1998).
-
-    Returns the welfare of each built coalition's tie-broken assignment,
-    indexed by coalition bitmask, with 0.0 for coalitions it does not
-    build; with ``chain`` set, also the option index each bidder takes in
-    the grand coalition's assignment, in id order.
-
-    A layer holds, for each goods mask g it is read at, the best welfare
-    the coalition reaches using only goods in g and an upper bound on the
-    welfare of every other assignment there, so a second assignment at the
-    best welfare raises the bound to it. Coalition S is built from S
-    without its highest bidder h: for each of h's options, each mask g in
-    h's read set (``_program_rows``) that contains the bundle is relaxed
-    from ``parent[g & ~bundle] + value``. Other entries keep the parent's
-    values, which nothing reads, and each entry that is read sees the same
-    candidates in the same order as with every mask relaxed, so the result
-    is bit-identical. Adding the highest bidder last makes every candidate
-    the id-order float sum of its assignment, and since float addition is
-    monotone, the best of the parent plus a value is the best of the sums.
-    With ``chain`` set only the coalitions {1}, {1, 2}, ..., {1..n} are
-    built; otherwise every coalition is, depth first, so only the layers on
-    the current path, at most n + 1, are live.
-
-    The tie tolerance is ``TIE_TOLERANCE`` times the instance's ``scale``,
-    the same for every coalition. Where no other welfare ties a
-    coalition's best one, that is its tie-broken welfare; otherwise, and
-    for the grand coalition of the chain, ``_tie_broken`` traces the
-    assignment. The per-option rows come from ``_program_rows``, built once
-    per instance for both runs.
+    Each entry is the welfare of the coalition's tie-broken assignment,
+    with the tie tolerance of the whole instance, so it is the welfare
+    ``winner_determination`` would find for the coalition alone. The
+    goods-mask program builds every coalition, depth first, so only the
+    layers on the current path, at most n + 1, are live.
     """
     n = instance.n
     full = (1 << instance.m) - 1
-    options = instance.options
-    relaxations = instance._rows
+    rows = instance._rows
     tol = TIE_TOLERANCE * instance.scale
     table = [0.0] * (1 << n)
-    picks: list[int] = []
-    # A layer is (best, upper bound on the others, index of the bidder added
-    # last, the layer it was built from); the empty coalition's has no bidder.
     empty = ([0.0] * (full + 1), [-math.inf] * (full + 1), None, None)
     # Entries: coalition mask, index of the next bidder to add, its layer.
     stack = [(0, 0, empty)] if n else []
     while stack:
         coalition, h, layer = stack.pop()
-        extended = h < n - 1
-        if extended and not chain:
-            # The coalition without bidder h goes on to bidder h + 1 next.
-            stack.append((coalition, h + 1, layer))
-        values, lower = layer[0], layer[1]
-        child_values = values.copy()
-        child_lower = lower.copy()
-        for value, pairs in relaxations[h]:
-            for rest, goods in pairs:
-                candidate = values[rest] + value
-                best = child_values[goods]
-                if candidate > best:
-                    below = lower[rest] + value
-                    child_lower[goods] = best if best > below else below
-                    child_values[goods] = candidate
-                elif candidate == best:
-                    # Another assignment reaches the best welfare exactly.
-                    child_lower[goods] = best
-                elif candidate > child_lower[goods]:
-                    child_lower[goods] = candidate
         child = coalition | 1 << h
-        child_layer = (child_values, child_lower, h, layer)
-        if extended:
+        child_layer = _relaxed(layer, h, rows[h])
+        if h < n - 1:
+            stack.append((coalition, h + 1, layer))
             stack.append((child, h + 1, child_layer))
-        if chain:
-            if not extended:
-                table[child], picks = _tie_broken(options, child_layer, full, tol)
-        elif _ties(child_values[full], child_lower[full], tol):
-            table[child] = _tie_broken(options, child_layer, full, tol)[0]
-        else:
-            table[child] = child_values[full]
-    return table, picks
+        table[child] = best = child_layer[0][full]
+        if _ties(best, child_layer[1][full], tol):
+            table[child] = _tie_broken(instance.options, child_layer, full, tol)[0]
+    return table
+
+
+def _relaxed(layer: tuple, h: int, rows: list) -> tuple:
+    """A coalition's layer, from the layer of the coalition without h, its highest bidder.
+
+    A layer is (best, bound, h, parent). For each goods mask g the layer is
+    read at (``_program_rows``), best[g] is the best welfare the coalition
+    reaches using only goods in g, and bound[g] is an upper bound on the
+    welfare of every other assignment there, so a second assignment at the
+    best welfare raises the bound to it; other entries keep the parent's
+    values, which nothing reads. h is the index of the bidder added last
+    and parent the layer it was built from; the empty coalition's layer
+    has None for both. Each of bidder h's rows relaxes its goods masks from
+    ``parent[g & ~bundle] + value`` (Rothkopf, Pekec and Harstad 1998).
+    Adding the highest bidder last makes every candidate the id-order float
+    sum of its assignment, and since float addition is monotone, the best
+    of the parent plus a value is the best of the sums.
+    """
+    values, lower = layer[0], layer[1]
+    child_values = values.copy()
+    child_lower = lower.copy()
+    for value, pairs in rows:
+        for rest, goods in pairs:
+            candidate = values[rest] + value
+            best = child_values[goods]
+            if candidate > best:
+                below = lower[rest] + value
+                child_lower[goods] = best if best > below else below
+                child_values[goods] = candidate
+            elif candidate == best:
+                # Another assignment reaches the best welfare exactly.
+                child_lower[goods] = best
+            elif candidate > child_lower[goods]:
+                child_lower[goods] = candidate
+    return child_values, child_lower, h, layer
 
 
 def _program_rows(instance: AuctionInstance) -> list:
@@ -497,22 +485,20 @@ def _best_path(options: tuple, layer: tuple, goods: int) -> list[int]:
 def _tie_broken(options: tuple, layer: tuple, full: int, tol: float) -> tuple[float, list[int]]:
     """The first assignment in the canonical order whose welfare ties the coalition's best.
 
-    ``layer`` is the coalition's layer from ``_goods_mask_program``; its
-    links lead to the layers of the coalition without its highest member,
-    without its two highest, and so on. The members choose from the highest
-    id down, each among the options that still leave a tying assignment.
-    The test is exact: the best welfare an option still allows is the next
-    layer's entry for the goods left plus the option's value plus the
-    higher members' values, in id order, since float addition is monotone.
-    The first tying choice of the members below a given one depends only on
+    For a coalition where another assignment ties the best one. ``layer``
+    is the coalition's layer from ``_relaxed``; its links lead to the
+    layers of the coalition without its highest member, without its two
+    highest, and so on. The members choose from the highest id down, each
+    among the options that still leave a tying assignment. The test is
+    exact: the best welfare an option still allows is the next layer's
+    entry for the goods left plus the option's value plus the higher
+    members' values, in id order, since float addition is monotone. The
+    first tying choice of the members below a given one depends only on
     the goods left and the higher members' nonzero values, so it is
-    computed once per such state. Where no other assignment ties the best
-    one, that one is read off the layers by ``_best_path``. Returns the
-    assignment's welfare and each member's option index, in id order.
+    computed once per such state. Returns the assignment's welfare and
+    each member's option index, in id order.
     """
     best = layer[0][full]
-    if not _ties(best, layer[1][full], tol):
-        return best, _best_path(options, layer, full)
     memo: dict = {}
 
     def first(layer: tuple, goods: int, later: tuple[float, ...]) -> tuple[tuple[int, ...], float]:

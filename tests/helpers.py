@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from math import factorial
 from typing import Sequence
 
 from hypothesis import strategies as st
@@ -203,3 +205,44 @@ def region_map_by_cell(rule: ReferenceRule, g: float, resolution: int) -> Region
             row.append(projection_derivative(profile, rule) if profile.locals_win() else None)
         cells.append(tuple(row))
     return RegionMap(rule, g, coords, coords, tuple(cells))
+
+
+def llg_exact_reference(
+    a: Fraction, b: Fraction, g: Fraction, rule: ReferenceRule
+) -> tuple[Fraction, Fraction, Fraction]:
+    """The rule's vector on the LLG game in exact rationals, by the subset formula.
+
+    The oracle for ``closed_form_reference`` and the engine on LLG: bidders
+    1 and 2 bid ``a`` and ``b`` on one good each, bidder 3 bids ``g`` on
+    both. v(S) is the larger of the locals' bids in S and ``g`` when bidder
+    3 is in S. Only for profiles the locals win (a + b >= g, the tie
+    included): their accepted bids are ``a`` and ``b``, bidder 3's is 0.
+    Payments for the payment rules, payoffs for the payoff rules.
+    """
+    bids = (a, b, g)
+
+    def value(mask: int) -> Fraction:
+        return max(sum(bids[i] for i in (0, 1) if mask >> i & 1), g if mask & 4 else Fraction(0))
+
+    realized = (a, b, Fraction(0))
+    if rule is ReferenceRule.FIRST_PRICE:
+        return realized
+    if rule is ReferenceRule.VCG:
+        return tuple(value(7 & ~(1 << i)) - (value(7) - realized[i]) for i in range(3))
+    # With the auctioneer as a fourth player, only coalitions holding her
+    # are worth anything, so she is one of the others in every nonzero term.
+    players = 3 + rule.with_auctioneer
+    payoffs = []
+    for i in range(3):
+        payoff = Fraction(0)
+        for mask in range(8):
+            if mask >> i & 1:
+                continue
+            others = mask.bit_count() + rule.with_auctioneer
+            weight = Fraction(factorial(others) * factorial(players - others - 1))
+            weight /= factorial(players)
+            payoff += weight * (value(mask | 1 << i) - value(mask))
+        payoffs.append(payoff)
+    if rule.is_payoff:
+        return tuple(payoffs)
+    return tuple(bid - payoff for bid, payoff in zip(realized, payoffs))

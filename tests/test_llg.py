@@ -16,6 +16,7 @@ from coreselect import (
     classify_case,
     closed_form_for_case,
     closed_form_reference,
+    llg_instance,
     numeric_derivative,
     projection_derivative,
     region_inequalities,
@@ -26,12 +27,20 @@ from coreselect import (
     sensitivity2,
     sensitivity_fraction,
 )
-from coreselect.llg import _FORMS, _SENSITIVITY, check_threshold_table
+from coreselect.llg import (
+    _FORMS,
+    _SENSITIVITY,
+    THRESHOLD_TABLE,
+    _threshold_holds,
+    check_threshold_table,
+)
 from coreselect.reference import ReferenceRule as R
 from coreselect.reference import reference_point
-from helpers import llg_profiles, region_map_by_cell
+from helpers import llg_exact_reference, llg_profiles, region_map_by_cell
 
 TOL = 1e-9
+G1 = frozenset({"g1"})
+G2 = frozenset({"g2"})
 
 
 class TestClassify:
@@ -210,6 +219,59 @@ class TestExactTables:
     def test_sensitivity_is_the_forms_slope(self, case, rule):
         (da1, _, _), (da2, _, _) = _coefficients(_FORMS[case][rule])
         assert _SENSITIVITY[case][rule] == da1 - da2
+
+
+def _boundary_points(plane: str, g: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """Rational local bids (a, b) that win against g on the plane a = g, b = g or a + b = g."""
+    steps = (Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(2, 3), Fraction(1))
+    if plane == "a = g":
+        return [(g, t * g) for t in steps] + [(g, (1 + t) * g) for t in steps]
+    if plane == "b = g":
+        return [(t * g, g) for t in steps] + [((1 + t) * g, g) for t in steps]
+    return [(t * g, (1 - t) * g) for t in steps]
+
+
+# The float engine's reference points sum at most a dozen rounded terms of
+# size at most 2g, so they land within a few ulps of g of the exact ones.
+ENGINE_TOLERANCE = 1e-12
+
+BOUNDARY_PLANES = ["a = g", "b = g", "a + b = g"]
+BOUNDARY_GS = [Fraction(3, 4), Fraction(1), Fraction(1000, 7), Fraction(1, 3 * 10**9)]
+
+
+class TestExactEngineOracle:
+    """The closed forms and the float engine against the LLG game in exact rationals."""
+
+    @pytest.mark.parametrize("plane", BOUNDARY_PLANES)
+    @pytest.mark.parametrize("g", BOUNDARY_GS)
+    def test_closed_forms_are_exact_on_the_boundaries(self, plane, g):
+        for a, b in _boundary_points(plane, g):
+            profile = LlgBidProfile(a, b, g)
+            for rule in R:
+                exact = llg_exact_reference(a, b, g, rule)
+                assert closed_form_reference(profile, rule) == exact[:2], (profile, rule)
+
+    @pytest.mark.parametrize("plane", BOUNDARY_PLANES)
+    @pytest.mark.parametrize("g", BOUNDARY_GS)
+    def test_engine_matches_within_tolerance(self, plane, g):
+        for a, b in _boundary_points(plane, g):
+            instance = llg_instance(a, b, g)
+            for rule in R:
+                exact = tuple(map(float, llg_exact_reference(a, b, g, rule)))
+                engine = reference_point(instance, rule)
+                tolerance = ENGINE_TOLERANCE * g
+                assert engine == pytest.approx(exact, rel=0, abs=tolerance), (a, b, g, rule)
+
+    @pytest.mark.parametrize("g", BOUNDARY_GS)
+    def test_engine_awards_the_locals_at_a_welfare_tie(self, g):
+        # The rounded bids need not tie exactly; the tie rule decides either way.
+        for a, b in _boundary_points("a + b = g", g):
+            allocation = llg_instance(a, b, g).allocation
+            assert allocation.assignment == {
+                1: G1 if a else frozenset(),
+                2: G2 if b else frozenset(),
+                3: frozenset(),
+            }, (a, b, g)
 
 
 class TestRegionInequalities:
@@ -471,3 +533,14 @@ class TestThresholdTable:
         for check in check_threshold_table(samples_per_case=500, seed=47):
             if not check.cell.note:
                 assert check.stated_mismatches == 0, check.cell
+
+    def test_exact_cells_near_overflow_match_direct_evaluation(self):
+        profile = LlgBidProfile(2.6e307, 2.6e307, 5.3e307)
+        cells = [cell for cell in THRESHOLD_TABLE if cell.case is classify_case(profile)]
+        assert len(cells) == 4
+        for cell in cells:
+            direct = region_inequalities(profile, cell.rule)[cell.inequality - 1]
+            assert _threshold_holds(cell.exact, profile) == direct, cell
+            if cell.rule is R.SHAPLEY_PAYMENT_WITH_AUCTIONEER:
+                # Unscaled, 7 * a + 5 * b overflows and the cell reads inf < inf.
+                assert direct and not cell.exact(profile.a, profile.b, profile.g), cell
