@@ -13,7 +13,7 @@ import sys
 from types import SimpleNamespace
 from typing import Iterable
 
-from .core import core_violations, project_to_mrc
+from .core import CoreViolation, core_violations, project_to_mrc
 from .llg import (
     BoundaryProximityError,
     RegionMap,
@@ -150,7 +150,7 @@ def _fmt_vector(values: Iterable[float]) -> str:
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
@@ -280,8 +280,7 @@ def _cmd_verify_table(args: argparse.Namespace) -> int:
     return 0 if all_ok else 1
 
 
-def _violations_json(instance: AuctionInstance, payments: list[float]) -> str:
-    found = core_violations(instance, payments)
+def _violations_json(found: list[CoreViolation]) -> str:
     payload = [
         {
             "kind": violation.constraint.kind,
@@ -300,9 +299,9 @@ def _cmd_core_check(args: argparse.Namespace) -> int:
         instance = _profile(args).to_instance()
     else:
         instance = _load_instance(args.instance)
-    text = _violations_json(instance, args.payments)
-    _write(args, text)
-    return 0 if text.strip() == "[]" else 1
+    found = core_violations(instance, args.payments)
+    _write(args, _violations_json(found))
+    return 1 if found else 0
 
 
 _COMMANDS = {

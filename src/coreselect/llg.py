@@ -492,7 +492,11 @@ def region_map_to_csv(grid: RegionMap) -> str:
 def sample_llg_profile(
     rng: random.Random, case: CaseLabel, g: float = 1.0
 ) -> LlgBidProfile:
-    """Uniform locals-winning profile in the given case, local bids in [0, 2g]."""
+    """Uniform locals-winning profile in the given case, local bids in [0, 2g].
+
+    Near overflow, draws whose bid sum ``a + b + g`` is not finite are
+    drawn again, since ``LlgBidProfile`` rejects them.
+    """
     while True:
         if case is CaseLabel.LOCALS_WEAK:
             a, b = rng.uniform(0.0, g), rng.uniform(0.0, g)
@@ -502,6 +506,8 @@ def sample_llg_profile(
             a, b = rng.uniform(0.0, g), rng.uniform(g, 2 * g)
         else:
             a, b = rng.uniform(g, 2 * g), rng.uniform(g, 2 * g)
+        if not a + b + g < math.inf:
+            continue
         profile = LlgBidProfile(a, b, g)
         if a + b > g and classify_case(profile) is case:
             return profile

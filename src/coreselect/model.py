@@ -103,7 +103,7 @@ class _solved_once:
     """A value computed on first access and kept in the instance's ``__dict__``.
 
     ``functools.cached_property`` without its lock, which CPython 3.11
-    takes on every first access; an instance fills up to six of these. The
+    takes on every first access; an instance fills up to four of these. The
     stored value shadows this non-data descriptor from then on.
     """
 
@@ -125,16 +125,21 @@ class _solved_once:
 class AuctionInstance:
     """An auction with named goods and XOR bidders with ids 1..n, in order.
 
-    The efficient allocation, the realized bid values, the coalition value
-    table and both Shapley payoff vectors are solved on first use and kept
-    on the instance, as are each bidder's list of candidate awards and the
-    goods-mask program's rows; every payment rule and the core constraints
-    read them from there.
+    Construction reads each bid once: it checks it, and builds from the
+    bids each bidder's candidate awards (``options``), the largest bid
+    (``scale``) and the goods-mask program's rows. The efficient
+    allocation, the realized bid values, the coalition value table and
+    both Shapley payoff vectors are solved on first use and kept on the
+    instance; every payment rule and the core constraints read them from
+    there.
     """
 
     goods: tuple[str, ...]
     bidders: tuple[Bidder, ...]
     scale: float = field(init=False, repr=False, compare=False)  # largest bid, 0.0 if none
+    # Each bidder's candidate awards (``_bidder_options``), in id order.
+    options: tuple = field(init=False, repr=False, compare=False)
+    _rows: list = field(init=False, repr=False, compare=False)  # ``_program_rows``, for both walks
 
     def __post_init__(self) -> None:
         if len(set(self.goods)) != len(self.goods):
@@ -146,29 +151,20 @@ class AuctionInstance:
         ids = [bidder.id for bidder in self.bidders]
         if ids != list(range(1, len(ids) + 1)):
             raise ValueError(f"bidder ids must be 1..n in order, got {ids}")
-        declared = set(self.goods)
+        good_index = {good: i for i, good in enumerate(self.goods)}
+        options = tuple(_bidder_options(bidder, good_index) for bidder in self.bidders)
         # The sum of each bidder's largest bid bounds every welfare the engine
         # sums, since float addition is monotone.
         total = scale = 0.0
-        for bidder in self.bidders:
-            largest = 0.0
-            for bid in bidder.bids:
-                if not bid.bundle:
-                    raise ValueError(f"bidder {bidder.id} bids on an empty bundle")
-                if not bid.bundle <= declared:
-                    raise ValueError(
-                        f"bidder {bidder.id} bids on undeclared goods {sorted(bid.bundle - declared)}"
-                    )
-                if not math.isfinite(bid.value) or bid.value < 0:
-                    raise ValueError(
-                        f"bidder {bidder.id} has a bid value that is not a finite non-negative number"
-                    )
-                largest = max(largest, bid.value)
+        for bidder_options in options:
+            largest = max(value for _, value, _ in bidder_options)
             total += largest
             scale = max(scale, largest)
         if not total < math.inf:
             raise ValueError("the bidders' largest bids must have a finite sum")
         object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "options", options)
+        object.__setattr__(self, "_rows", _program_rows(self))
 
     @property
     def n(self) -> int:
@@ -182,14 +178,16 @@ class AuctionInstance:
         return tuple(bidder.id for bidder in self.bidders)
 
     def bid_value(self, bidder_id: int, bundle: frozenset[str]) -> float:
-        """Value the bidder declared for exactly this bundle (0 if empty or unlisted)."""
-        if not bundle:
-            return 0.0
-        best = 0.0
-        for bid in self.bidders[bidder_id - 1].bids:
-            if bid.bundle == bundle and bid.value > best:
-                best = bid.value
-        return best
+        """The bidder's highest bid on exactly this bundle (0 if empty or unlisted).
+
+        Raises ``InvalidCoalitionError`` for an id outside 1..n.
+        """
+        if not 1 <= bidder_id <= self.n:
+            raise InvalidCoalitionError(f"unknown bidder id: {bidder_id}")
+        for _, value, award in self.options[bidder_id - 1]:
+            if award == bundle:
+                return value
+        return 0.0
 
     @_solved_once
     def allocation(self) -> "Allocation":
@@ -211,16 +209,6 @@ class AuctionInstance:
     def shapley_values(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Shapley payoffs without and with the auctioneer as a player, solved once."""
         return _shapley_payoffs(self.n, self.coalition_values)
-
-    @_solved_once
-    def options(self) -> tuple:
-        """Each bidder's candidate awards (``_instance_options``), built once."""
-        return _instance_options(self)
-
-    @_solved_once
-    def _rows(self) -> list:
-        """``_program_rows`` of the instance, built once for both walks."""
-        return _program_rows(self)
 
 
 @dataclass
@@ -250,7 +238,7 @@ def llg_instance(a: float, b: float, g: float) -> AuctionInstance:
 
 
 def _bidder_options(bidder: Bidder, good_index: dict[str, int]):
-    """Candidate awards for one bidder, in canonical order.
+    """Candidate awards for one bidder, in canonical order, after checking each bid.
 
     Positive-value bundles come first, sorted by their good indices, then the
     empty award. Zero-value bundles are never awarded (winning them is
@@ -259,6 +247,15 @@ def _bidder_options(bidder: Bidder, good_index: dict[str, int]):
     """
     best_by_key: dict[tuple[int, ...], tuple[float, frozenset[str]]] = {}
     for bid in bidder.bids:
+        if not bid.bundle:
+            raise ValueError(f"bidder {bidder.id} bids on an empty bundle")
+        if not bid.bundle <= good_index.keys():
+            undeclared = sorted(good for good in bid.bundle if good not in good_index)
+            raise ValueError(f"bidder {bidder.id} bids on undeclared goods {undeclared}")
+        if not math.isfinite(bid.value) or bid.value < 0:
+            raise ValueError(
+                f"bidder {bidder.id} has a bid value that is not a finite non-negative number"
+            )
         if bid.value <= 0.0:
             continue
         key = tuple(sorted(good_index[good] for good in bid.bundle))
@@ -274,12 +271,6 @@ def _bidder_options(bidder: Bidder, good_index: dict[str, int]):
         options.append((mask, value, bundle))
     options.append((0, 0.0, frozenset()))
     return tuple(options)
-
-
-def _instance_options(instance: AuctionInstance) -> tuple:
-    """``_bidder_options`` of every bidder, in id order."""
-    good_index = {good: i for i, good in enumerate(instance.goods)}
-    return tuple(_bidder_options(bidder, good_index) for bidder in instance.bidders)
 
 
 def _shapley_payoffs(

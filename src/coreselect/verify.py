@@ -176,9 +176,9 @@ def threshold_table_suite(samples_per_case: int = 2500, seed: int = DEFAULT_SEED
     return result
 
 
-def random_instance(rng: random.Random, max_bidders: int = 5, max_goods: int = 4) -> AuctionInstance:
-    """Random XOR instance for axiom checks: up to 3 bundle bids per bidder."""
-    m = rng.randint(1, max_goods)
+def random_instance(rng: random.Random, max_bidders: int = 5) -> AuctionInstance:
+    """Random XOR instance for axiom checks: up to 4 goods, up to 3 bundle bids per bidder."""
+    m = rng.randint(1, 4)
     goods = tuple(f"g{k}" for k in range(1, m + 1))
     n = rng.randint(1, max_bidders)
     bidders = []

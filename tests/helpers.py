@@ -92,6 +92,17 @@ def largest_bid(instance: AuctionInstance) -> float:
     return max((bid.value for bidder in instance.bidders for bid in bidder.bids), default=0.0)
 
 
+def bid_value_from_bids(instance: AuctionInstance, bidder_id: int, bundle: frozenset[str]) -> float:
+    """The bidder's highest bid on exactly this bundle, 0.0 without one.
+
+    The oracle for ``AuctionInstance.bid_value``, read off the raw bids.
+    """
+    return max(
+        (bid.value for bid in instance.bidders[bidder_id - 1].bids if bid.bundle == bundle),
+        default=0.0,
+    )
+
+
 def tie_tolerance(instance: AuctionInstance) -> float:
     """The engine's tie tolerance for the instance: a fraction of its largest bid."""
     return TIE_TOLERANCE * largest_bid(instance)

@@ -534,6 +534,14 @@ class TestThresholdTable:
             if not check.cell.note:
                 assert check.stated_mismatches == 0, check.cell
 
+    @pytest.mark.parametrize("g", [5.3e307, 1e308 / 3, 2.0**1020])
+    def test_exact_conditions_match_near_overflow(self, g):
+        # Local bids up to 2g can make a + b + g overflow at these g; the
+        # sampler draws such profiles again, so every case gets its samples.
+        for check in check_threshold_table(samples_per_case=500, seed=1, g=g):
+            assert check.checked == 500
+            assert check.exact_mismatches == 0, check.cell
+
     def test_exact_cells_near_overflow_match_direct_evaluation(self):
         profile = LlgBidProfile(2.6e307, 2.6e307, 5.3e307)
         cells = [cell for cell in THRESHOLD_TABLE if cell.case is classify_case(profile)]

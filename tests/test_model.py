@@ -20,9 +20,10 @@ from coreselect import (
     llg_instance,
     winner_determination,
 )
-from coreselect.model import TIE_TOLERANCE, _instance_options, _program_rows
+from coreselect.model import TIE_TOLERANCE, _program_rows
 from coreselect.verify import random_instance
 from helpers import (
+    bid_value_from_bids,
     exhaustive_best,
     instances,
     largest_bid,
@@ -41,7 +42,7 @@ def _search_table(instance):
 
     Every subset is searched with the whole instance's tie tolerance.
     """
-    options = _instance_options(instance)
+    options = instance.options
     tol = tie_tolerance(instance)
     return [
         exhaustive_best([options[i] for i in range(instance.n) if mask >> i & 1], tol)[0]
@@ -116,6 +117,26 @@ class TestWinnerDetermination:
         allocation = winner_determination(instance)
         assert allocation.winners() == (1, 2, 3, 5)
         assert allocation.welfare == coalition_value_table(instance)[-1]
+
+
+class TestBidValue:
+    @settings(max_examples=60, deadline=None)
+    @given(instance=instances())
+    @example(
+        instance=AuctionInstance(("g1",), (Bidder(1, (Bid(G1, 0.0), Bid(G1, 0.3), Bid(G1, 0.7))),))
+    )
+    def test_matches_raw_bids(self, instance):
+        unlisted = frozenset(instance.goods) | {"unlisted"}
+        for bidder in instance.bidders:
+            bundles = [bid.bundle for bid in bidder.bids]
+            for bundle in (*bundles, frozenset(), unlisted):
+                expected = bid_value_from_bids(instance, bidder.id, bundle)
+                assert instance.bid_value(bidder.id, bundle) == expected
+
+    @pytest.mark.parametrize("bidder_id", [0, -2, 4])
+    def test_unknown_bidder(self, bidder_id):
+        with pytest.raises(InvalidCoalitionError):
+            llg_instance(0.4, 0.5, 0.8).bid_value(bidder_id, BOTH)
 
 
 class TestCoalitionalValue:
@@ -472,6 +493,26 @@ class TestValidation:
         AuctionInstance(("g1",), (Bidder(1, low), Bidder(2, (Bid(G1, 0.6e308),))))
         with pytest.raises(ValueError, match="largest bids must have a finite sum"):
             AuctionInstance(("g1",), (Bidder(1, low), Bidder(2, (Bid(G1, 1.1e308),))))
+
+    def test_first_faulty_bidder_is_reported(self):
+        bidders = (
+            Bidder(1, (Bid(G1, 0.5),)),
+            Bidder(2, (Bid(G1, -0.1),)),
+            Bidder(3, (Bid(frozenset(), 0.5),)),
+        )
+        with pytest.raises(ValueError, match="^bidder 2 has a bid value"):
+            AuctionInstance(("g1",), bidders)
+
+    def test_bad_bid_reported_before_overflowing_sum(self):
+        # Bidders 1 and 2 alone overflow the largest-bid sum; bidder 3's bid
+        # is reported all the same.
+        bidders = (
+            Bidder(1, (Bid(G1, 1.1e308),)),
+            Bidder(2, (Bid(G1, 1.1e308),)),
+            Bidder(3, (Bid(frozenset({"gX"}), 0.5),)),
+        )
+        with pytest.raises(ValueError, match=r"^bidder 3 bids on undeclared goods \['gX'\]$"):
+            AuctionInstance(("g1",), bidders)
 
 
 class TestJson:
