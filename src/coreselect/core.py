@@ -122,7 +122,8 @@ def project_to_mrc(
     revenue shortfall between the two locals, clamped into the segment, so c
     is accepted only to document the metric family and does not change the
     result. When the global bidder wins, the unique minimum-revenue core
-    point charges her the locals' joint value a + b.
+    point charges her the locals' joint value a + b. A reference entry that
+    is not finite is a ``ValueError``.
     """
     # Written so that NaN fails it too; c = inf, the L_inf metric, passes.
     if not c > 1:
@@ -130,6 +131,9 @@ def project_to_mrc(
     values = tuple(reference)
     if len(values) < 2:
         raise ValueError("reference must cover the two local bidders")
+    for entry, value in enumerate(values, start=1):
+        if not math.isfinite(value):
+            raise ValueError(f"reference entry {entry} must be finite, got {value}")
     a, b, g = profile.a, profile.b, profile.g
     if not profile.locals_win():
         return (0.0, 0.0, a + b)

@@ -30,7 +30,8 @@ from .core import even_split, llg_segment_ends, project_to_mrc
 from .model import TIE_TOLERANCE, LlgBidProfile
 from .reference import ReferenceRule, reference_point
 
-# Kink tolerance relative to the global bid g: see _kink_tolerance.
+# How near a segment end the even split counts as on it, as a multiple of g:
+# the split scales with the bids, so the kink band does too.
 BOUNDARY_TOLERANCE = 1e-9
 
 
@@ -87,7 +88,7 @@ _CASES = tuple(CaseLabel)
 
 
 def _case_index(a: float, b: float, g: float) -> int:
-    """Position of the case in _CASES: 1 for a > g plus 2 for b > g."""
+    """Position of the case in _CASES: bit 0 is set for a > g, bit 1 for b > g."""
     return (a > g) + 2 * (b > g)
 
 
@@ -225,9 +226,8 @@ _REPORT_REGIONS = (Region.IR1_BINDING, Region.IR2_BINDING, Region.NONNEG_BINDING
 
 
 def _case_entry(case: CaseLabel, rule: ReferenceRule) -> tuple:
-    """(closed form, exact sensitivity, reports indexed [region][boundary])."""
-    exact = _SENSITIVITY[case][rule]
-    sens = float(exact)
+    """(closed form, reports indexed [region][boundary]) of one case and rule."""
+    sens = float(_SENSITIVITY[case][rule])
     derivatives = (1.0, 0.0, 0.0, sens / 2)
     reports = tuple(
         (
@@ -236,13 +236,13 @@ def _case_entry(case: CaseLabel, rule: ReferenceRule) -> tuple:
         )
         for region, derivative in zip(_REPORT_REGIONS, derivatives)
     )
-    return _FORMS[case][rule], exact, reports
+    return _FORMS[case][rule], reports
 
 
-# The only runtime lookup of the per-case data: per rule, one _case_entry
-# per case in _CASES order; _FORMS and _SENSITIVITY are read only to build it.
-# Keyed by id(rule) and indexed by case position, since members are
-# singletons and Enum.__hash__ runs in Python.
+# The lookup for callers that find the case from the bids: per rule, one
+# _case_entry per case in _CASES order. Callers that name the case read
+# _FORMS and _SENSITIVITY. Keyed by id(rule) and indexed by case position,
+# since members are singletons and Enum.__hash__ runs in Python.
 _BY_RULE = {
     id(rule): tuple(_case_entry(case, rule) for case in _CASES) for rule in ReferenceRule
 }
@@ -255,8 +255,7 @@ def closed_form_for_case(
 
     Useful for checking continuity across case boundaries.
     """
-    form, _, _ = _BY_RULE[id(rule)][_CASES.index(case)]
-    return _evaluate(form, profile.a, profile.b, profile.g)
+    return _evaluate(_FORMS[case][rule], profile.a, profile.b, profile.g)
 
 
 def closed_form_reference(profile: LlgBidProfile, rule: ReferenceRule) -> tuple[float, float]:
@@ -266,14 +265,13 @@ def closed_form_reference(profile: LlgBidProfile, rule: ReferenceRule) -> tuple[
     profiles where the locals jointly win.
     """
     a, b, g = profile.a, profile.b, profile.g
-    form, _, _ = _BY_RULE[id(rule)][_case_index(a, b, g)]
+    form, _ = _BY_RULE[id(rule)][_case_index(a, b, g)]
     return _evaluate(form, a, b, g)
 
 
 def sensitivity_fraction(case: CaseLabel, rule: ReferenceRule) -> Fraction:
     """Exact sensitivity of the rule's local components in the given case."""
-    _, exact, _ = _BY_RULE[id(rule)][_CASES.index(case)]
-    return exact
+    return _SENSITIVITY[case][rule]
 
 
 def sensitivity(profile: LlgBidProfile, rule: ReferenceRule) -> float:
@@ -304,11 +302,6 @@ def region_inequalities(profile: LlgBidProfile, rule: ReferenceRule) -> tuple[bo
     return (p1 > p2 - g + 2 * a, p1 < p2 + g - 2 * b)
 
 
-def _kink_tolerance(g: float) -> float:
-    """How near a segment end the even split counts as on it: relative to g, like the split."""
-    return BOUNDARY_TOLERANCE * g
-
-
 def projection_derivative(profile: LlgBidProfile, rule: ReferenceRule) -> DerivativeReport:
     """Piecewise derivative of the projected rule's first payment w.r.t. bid a.
 
@@ -318,17 +311,17 @@ def projection_derivative(profile: LlgBidProfile, rule: ReferenceRule) -> Deriva
     the other local's zero payment (derivative 0). Past the lower end it is
     pinned at g - b (derivative 0) or, when b > g, at p1 = 0 (derivative 0).
     Strictly between the ends the payment moves at half the rule's
-    sensitivity. Profiles within ``_kink_tolerance(g)`` of either end are
+    sensitivity. Profiles within ``BOUNDARY_TOLERANCE * g`` of either end are
     flagged: the projected payment has a kink there and no two-sided
     derivative.
     """
     if not profile.locals_win():
         raise _global_winner_error(profile)
     a, b, g = profile.a, profile.b, profile.g
-    form, _, reports = _BY_RULE[id(rule)][_case_index(a, b, g)]
+    form, reports = _BY_RULE[id(rule)][_case_index(a, b, g)]
     split = even_split(g, *_evaluate(form, a, b, g))
     lo, hi = llg_segment_ends(a, b, g)
-    tol = _kink_tolerance(g)
+    tol = BOUNDARY_TOLERANCE * g
     boundary = abs(split - lo) <= tol or abs(split - hi) <= tol
     if split > hi + tol:
         region = _IR1 if a <= g else _NONNEG
@@ -403,7 +396,7 @@ def _row_bands(rule: ReferenceRule, a: float, g: float, top: float) -> list[tupl
     read off the closed form and ``llg_segment_ends`` at the piece's two ends.
     """
     guard = _SPAN_GUARD * g + _SPAN_FLOOR
-    tol = _kink_tolerance(g)
+    tol = BOUNDARY_TOLERANCE * g
     entries = _BY_RULE[id(rule)]
     bands = [(g - a - TIE_TOLERANCE * g, guard), (g, guard)]
     # Pieces b <= g and b > g, in the case of their right end q.
@@ -494,23 +487,26 @@ def sample_llg_profile(
 ) -> LlgBidProfile:
     """Uniform locals-winning profile in the given case, local bids in [0, 2g].
 
-    Near overflow, draws whose bid sum ``a + b + g`` is not finite are
-    drawn again, since ``LlgBidProfile`` rejects them.
+    Each local bid is drawn from [g, 2g] where the case's bit in
+    ``_case_index`` is set, else from [0, g], and the pair is drawn again
+    until ``a + b > g``, the bid sum ``a + b + g`` is finite and the pair
+    lies in the case. No pair passes where g is not positive or the case's
+    smallest bid sum (2g, or 3g with both locals strong) is not finite, so
+    those, like a case that is not a ``CaseLabel``, are a ``ValueError``.
     """
+    if not isinstance(case, CaseLabel):
+        raise ValueError(f"case must be a CaseLabel, got {case!r}")
+    position = _CASES.index(case)
+    least_sum = (3 if case is CaseLabel.LOCALS_STRONG else 2) * g
+    if not (g > 0 and least_sum < math.inf):
+        raise ValueError(
+            f"global bid must be positive with a finite least bid sum in case {case.value}, got {g}"
+        )
     while True:
-        if case is CaseLabel.LOCALS_WEAK:
-            a, b = rng.uniform(0.0, g), rng.uniform(0.0, g)
-        elif case is CaseLabel.LOCAL1_STRONG:
-            a, b = rng.uniform(g, 2 * g), rng.uniform(0.0, g)
-        elif case is CaseLabel.LOCAL2_STRONG:
-            a, b = rng.uniform(0.0, g), rng.uniform(g, 2 * g)
-        else:
-            a, b = rng.uniform(g, 2 * g), rng.uniform(g, 2 * g)
-        if not a + b + g < math.inf:
-            continue
-        profile = LlgBidProfile(a, b, g)
-        if a + b > g and classify_case(profile) is case:
-            return profile
+        a = rng.uniform(g, 2 * g) if position & 1 else rng.uniform(0.0, g)
+        b = rng.uniform(g, 2 * g) if position & 2 else rng.uniform(0.0, g)
+        if a + b > g and a + b + g < math.inf and _case_index(a, b, g) == position:
+            return LlgBidProfile(a, b, g)
 
 
 _Threshold = Callable[[float, float, float], bool] | None

@@ -104,9 +104,13 @@ def _arrival_order_payoffs(
         )
     table = instance.coalition_values
     totals = [0.0] * (n + 1)
-    for order in permutations(range(n + 1)):
-        if not with_auctioneer and order[0] != n:
-            continue
+    if with_auctioneer:
+        orders = permutations(range(n + 1))
+    else:
+        # The orders where she arrives first, in the sequence that filtering
+        # all (n + 1)! orders gives, so the totals round alike.
+        orders = ((n, *p) for p in permutations(range(n)))
+    for order in orders:
         mask = 0
         arrived = False
         for i in order:

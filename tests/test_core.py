@@ -324,6 +324,13 @@ class TestProjection:
             with pytest.raises(ValueError):
                 project_to_mrc(LlgBidProfile(0.4, 0.5, 0.8), (0.3, 0.4), c=c)
 
+    @pytest.mark.parametrize(
+        "reference", [(math.nan, 0.0), (math.inf, math.inf), (0.3, -math.inf), (0.3, 0.4, math.nan)]
+    )
+    def test_reference_must_be_finite(self, reference):
+        with pytest.raises(ValueError, match="reference entry"):
+            project_to_mrc(LlgBidProfile(0.4, 0.5, 0.8), reference)
+
     def test_metric_independence(self):
         profile = LlgBidProfile(0.4, 0.5, 0.8)
         reference = (0.1, 0.7)

@@ -510,7 +510,68 @@ class TestRegionMap:
         assert_same_cells(region_map(rule, 3 * 2.0**1020, 3), region_map(rule, 3.0, 3))
 
 
+class _NoDraws:
+    """An rng that fails the test if the sampler draws from it."""
+
+    def uniform(self, low, high):
+        pytest.fail(f"sampler drew from [{low}, {high}]")
+
+
+# Each case's intervals for a and b, in units of g: the sampler's reference.
+CASE_INTERVALS = {
+    CaseLabel.LOCALS_WEAK: ((0, 1), (0, 1)),
+    CaseLabel.LOCAL1_STRONG: ((1, 2), (0, 1)),
+    CaseLabel.LOCAL2_STRONG: ((0, 1), (1, 2)),
+    CaseLabel.LOCALS_STRONG: ((1, 2), (1, 2)),
+}
+
+
+class TestSampler:
+    @pytest.mark.parametrize("g", [1.0, 2.0**-30, 2.0**40, 5.3e307])
+    @pytest.mark.parametrize("case", list(CaseLabel))
+    def test_draws_from_the_case_intervals(self, case, g):
+        # At 5.3e307 some draws overflow a + b + g and are drawn again.
+        (a_lo, a_hi), (b_lo, b_hi) = CASE_INTERVALS[case]
+        for seed in range(1, 6):
+            rng, expected_rng = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                while True:
+                    a = expected_rng.uniform(a_lo * g, a_hi * g)
+                    b = expected_rng.uniform(b_lo * g, b_hi * g)
+                    if a + b > g and a + b + g < math.inf and classify_case(
+                        LlgBidProfile(a, b, g)
+                    ) is case:
+                        break
+                assert sample_llg_profile(rng, case, g) == LlgBidProfile(a, b, g)
+
+    @pytest.mark.parametrize("g", [0.0, -1.0, math.nan, math.inf, 1e308])
+    @pytest.mark.parametrize("case", list(CaseLabel))
+    def test_empty_domain_raises_without_drawing(self, case, g):
+        with pytest.raises(ValueError, match="global bid"):
+            sample_llg_profile(_NoDraws(), case, g)
+
+    def test_least_bid_sum_decides_the_domain(self):
+        # Both locals strong need a + b + g > 3g, which overflows at 7e307;
+        # the other cases need only 2g.
+        g = 7e307
+        with pytest.raises(ValueError, match="global bid"):
+            sample_llg_profile(_NoDraws(), CaseLabel.LOCALS_STRONG, g)
+        rng = random.Random(1)
+        for case in CaseLabel:
+            if case is not CaseLabel.LOCALS_STRONG:
+                assert classify_case(sample_llg_profile(rng, case, g)) is case
+
+    @pytest.mark.parametrize("case", ["locals_weak", None, 0])
+    def test_case_must_be_a_label(self, case):
+        with pytest.raises(ValueError, match="CaseLabel"):
+            sample_llg_profile(_NoDraws(), case)
+
+
 class TestThresholdTable:
+    def test_empty_sampler_domain_raises(self):
+        with pytest.raises(ValueError, match="global bid"):
+            check_threshold_table(5, 1, g=0.0)
+
     def test_exact_conditions_match_direct_evaluation(self):
         for check in check_threshold_table(samples_per_case=500, seed=41):
             assert check.exact_mismatches == 0, check.cell
