@@ -17,6 +17,7 @@ from .core import CoreViolation, core_violations, project_to_mrc
 from .llg import (
     BoundaryProximityError,
     RegionMap,
+    _row_runs,
     classify_case,
     numeric_derivative,
     projection_derivative,
@@ -226,8 +227,9 @@ def render_region_map_svg(grid: RegionMap) -> str:
     """Static SVG raster of a region map: one rect per cell, case lines overlaid."""
     resolution = len(grid.a_values)
     cell = SVG_SIZE / resolution
+    runs = [_row_runs(row) for row in grid.cells]
     derivatives = sorted(
-        {report.derivative for row in grid.cells for report in row if report is not None}
+        {report.derivative for row in runs for _, _, report in row if report is not None}
     )
     # Each cell's <rect> is its column's x string, its row's y string and the
     # tail for its derivative's colour, each formatted once.
@@ -242,11 +244,13 @@ def render_region_map_svg(grid: RegionMap) -> str:
         f'width="{SVG_SIZE}" height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
         f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="#ffffff"/>',
     ]
-    for i, row in enumerate(grid.cells):
+    for i, row in enumerate(runs):
         x_prefix = f'<rect x="{i * cell:.2f}" y="'
-        for y, report in zip(ys, row):
+        for start, stop, report in row:
             if report is not None:
-                parts.append(x_prefix + y + tails[report.derivative])
+                # One string per run: its rects differ only in their y string.
+                tail = tails[report.derivative]
+                parts.append(x_prefix + (tail + "\n" + x_prefix).join(ys[start:stop]) + tail)
     # Case boundaries sit at a = g and b = g, i.e. halfway along each axis.
     mid = SVG_SIZE / 2
     parts.append(

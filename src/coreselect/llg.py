@@ -24,6 +24,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
+from operator import is_not
 from typing import Callable
 
 from .core import even_split, llg_segment_ends, project_to_mrc
@@ -457,6 +459,17 @@ def region_map(rule: ReferenceRule, g: float = 1.0, resolution: int = 200) -> Re
     return RegionMap(rule, g, coords, coords, tuple(cells))
 
 
+def _row_runs(row: tuple) -> list[tuple[int, int, DerivativeReport | None]]:
+    """(start, stop, cell) of each run of one cell object along a region-map row.
+
+    ``region_map`` shares one report object along each run. Runs are found by
+    identity, not equality: two reports that compare equal can still print
+    differently, as a 0.0 and a -0.0 derivative do.
+    """
+    starts = [0, *compress(range(1, len(row)), map(is_not, row, row[1:]))]
+    return list(zip(starts, [*starts[1:], len(row)], map(row.__getitem__, starts)))
+
+
 def region_map_to_csv(grid: RegionMap) -> str:
     """Serialise a region map, row-major by a then b, full float precision.
 
@@ -465,20 +478,22 @@ def region_map_to_csv(grid: RegionMap) -> str:
     """
     lines = ["A,B,case,region,derivative,sensitivity"]
     # The global bidder wins only where a + b < g, so both local bids are below g.
-    # Suffixes are keyed by id(): region_map shares one report per outcome, and
-    # the grid keeps every report alive while the suffixes are in use.
+    # Suffixes are keyed by id(), the identity runs are found by; the grid
+    # keeps every report alive while the suffixes are in use.
     suffixes = {id(None): f"{CaseLabel.LOCALS_WEAK.value},{Region.GLOBAL_WINNER.value},,"}
     b_prefixes = [f"{b!r}," for b in grid.b_values]
     for a, row in zip(grid.a_values, grid.cells):
         a_prefix = f"{a!r},"
-        for b_prefix, cell in zip(b_prefixes, row):
+        for start, stop, cell in _row_runs(row):
             suffix = suffixes.get(id(cell))
             if suffix is None:
                 suffix = suffixes[id(cell)] = (
                     f"{cell.case.value},{cell.region.value},"
                     f"{cell.derivative!r},{cell.sensitivity!r}"
                 )
-            lines.append(a_prefix + b_prefix + suffix)
+            # One string per run: its lines differ only in their b column.
+            separator = suffix + "\n" + a_prefix
+            lines.append(a_prefix + separator.join(b_prefixes[start:stop]) + suffix)
     return "\n".join(lines) + "\n"
 
 
@@ -490,14 +505,19 @@ def sample_llg_profile(
     Each local bid is drawn from [g, 2g] where the case's bit in
     ``_case_index`` is set, else from [0, g], and the pair is drawn again
     until ``a + b > g``, the bid sum ``a + b + g`` is finite and the pair
-    lies in the case. No pair passes where g is not positive or the case's
-    smallest bid sum (2g, or 3g with both locals strong) is not finite, so
-    those, like a case that is not a ``CaseLabel``, are a ``ValueError``.
+    lies in the case. No pair passes where g is not positive or the smallest
+    bid sum a passing pair can have is not finite, so those, like a case
+    that is not a ``CaseLabel``, are a ``ValueError``. That sum is g plus
+    the float above g, or g plus twice it with both locals strong.
     """
     if not isinstance(case, CaseLabel):
         raise ValueError(f"case must be a CaseLabel, got {case!r}")
     position = _CASES.index(case)
-    least_sum = (3 if case is CaseLabel.LOCALS_STRONG else 2) * g
+    # a + b > g means a + b is at least the float above g, and each strong
+    # local is at least that float too; rounding is monotone, so a + b + g is
+    # at least least_sum.
+    above = math.nextafter(g, math.inf)
+    least_sum = (above + above if case is CaseLabel.LOCALS_STRONG else above) + g
     if not (g > 0 and least_sum < math.inf):
         raise ValueError(
             f"global bid must be positive with a finite least bid sum in case {case.value}, got {g}"

@@ -13,12 +13,16 @@ from coreselect import (
     AuctionInstance,
     Bid,
     Bidder,
+    CaseLabel,
     CoreConstraint,
+    DerivativeReport,
     LlgBidProfile,
+    Region,
     RegionMap,
     ReferenceRule,
     projection_derivative,
 )
+from coreselect.cli import _SVG_PALETTE, SVG_SIZE
 from coreselect.core import CORE_TOLERANCE
 from coreselect.model import TIE_TOLERANCE
 
@@ -216,6 +220,107 @@ def region_map_by_cell(rule: ReferenceRule, g: float, resolution: int) -> Region
             row.append(projection_derivative(profile, rule) if profile.locals_win() else None)
         cells.append(tuple(row))
     return RegionMap(rule, g, coords, coords, tuple(cells))
+
+
+# (g, resolution) of the grids the region-map writers are checked on against
+# their per-cell oracles: odd resolutions put points on a = g and b = g, the
+# small g are subnormal or next to it, and 1000 is a grid of a million cells.
+WRITER_GRIDS = (
+    (1.0, 2),
+    (1.0, 200),
+    (2.5, 201),
+    (2.5, 77),
+    (1e-300, 57),
+    (5e-324, 9),
+    (2.0**-1060, 33),
+    (1.0, 1000),
+)
+
+
+def hand_built_region_map() -> RegionMap:
+    """A 4 x 4 map with the runs ``region_map`` may not produce.
+
+    Row 0 is all global-winner cells. Row 1 holds distinct reports that
+    compare equal but print differently (derivative 0.0 and -0.0) side by
+    side, and starts and ends with a report, as does row 3, one run long.
+    Row 2 starts with a global-winner cell.
+    """
+    zero = DerivativeReport(CaseLabel.LOCALS_WEAK, Region.INTERIOR, 0.0, 0.0)
+    negative_zero = DerivativeReport(CaseLabel.LOCALS_WEAK, Region.INTERIOR, -0.0, -0.0)
+    half = DerivativeReport(CaseLabel.LOCALS_STRONG, Region.INTERIOR, 0.5, 1.0, boundary=True)
+    one = DerivativeReport(CaseLabel.LOCAL1_STRONG, Region.IR1_BINDING, 1.0, 0.25)
+    assert zero == negative_zero
+    coords = (0.0, 2 / 3, 4 / 3, 2.0)
+    cells = (
+        (None, None, None, None),
+        (zero, negative_zero, negative_zero, zero),
+        (None, one, zero, half),
+        (half, half, half, half),
+    )
+    return RegionMap(ReferenceRule.VCG, 1.0, coords, coords, cells)
+
+
+def assert_same_text(text: str, expected: str) -> None:
+    """Fail with the first line that differs; pytest's own diff of two large texts is slow."""
+    if text != expected:
+        lines, expected_lines = text.split("\n"), expected.split("\n")
+        i = next(
+            (i for i, pair in enumerate(zip(lines, expected_lines)) if pair[0] != pair[1]),
+            min(len(lines), len(expected_lines)),
+        )
+        raise AssertionError(f"line {i}: {lines[i : i + 1]} != {expected_lines[i : i + 1]}")
+
+
+def region_map_to_csv_by_cell(grid: RegionMap) -> str:
+    """``region_map_to_csv`` the slow way: one line per cell, each built on its own."""
+    lines = ["A,B,case,region,derivative,sensitivity"]
+    suffixes = {id(None): f"{CaseLabel.LOCALS_WEAK.value},{Region.GLOBAL_WINNER.value},,"}
+    b_prefixes = [f"{b!r}," for b in grid.b_values]
+    for a, row in zip(grid.a_values, grid.cells):
+        a_prefix = f"{a!r},"
+        for b_prefix, cell in zip(b_prefixes, row):
+            suffix = suffixes.get(id(cell))
+            if suffix is None:
+                suffix = suffixes[id(cell)] = (
+                    f"{cell.case.value},{cell.region.value},"
+                    f"{cell.derivative!r},{cell.sensitivity!r}"
+                )
+            lines.append(a_prefix + b_prefix + suffix)
+    return "\n".join(lines) + "\n"
+
+
+def render_region_map_svg_by_cell(grid: RegionMap) -> str:
+    """``cli.render_region_map_svg`` the slow way: one rect string per cell."""
+    resolution = len(grid.a_values)
+    cell = SVG_SIZE / resolution
+    derivatives = sorted(
+        {report.derivative for row in grid.cells for report in row if report is not None}
+    )
+    tails = {
+        value: f'" width="{cell:.2f}" height="{cell:.2f}" '
+        f'fill="{_SVG_PALETTE[i * (len(_SVG_PALETTE) - 1) // max(len(derivatives) - 1, 1)]}"/>'
+        for i, value in enumerate(derivatives)
+    }
+    ys = [f"{(resolution - 1 - j) * cell:.2f}" for j in range(resolution)]
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{SVG_SIZE}" height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="#ffffff"/>',
+    ]
+    for i, row in enumerate(grid.cells):
+        x_prefix = f'<rect x="{i * cell:.2f}" y="'
+        for y, report in zip(ys, row):
+            if report is not None:
+                parts.append(x_prefix + y + tails[report.derivative])
+    mid = SVG_SIZE / 2
+    parts.append(
+        f'<line x1="{mid:.2f}" y1="0" x2="{mid:.2f}" y2="{SVG_SIZE}" stroke="#ff0000" stroke-width="1.5"/>'
+    )
+    parts.append(
+        f'<line x1="0" y1="{mid:.2f}" x2="{SVG_SIZE}" y2="{mid:.2f}" stroke="#ff0000" stroke-width="1.5"/>'
+    )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def llg_exact_reference(

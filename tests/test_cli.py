@@ -13,11 +13,19 @@ from coreselect import (
     llg_instance,
     project_to_mrc,
     reference_point,
+    region_map,
     winner_determination,
 )
 import coreselect.cli
-from coreselect.cli import main
-from helpers import twelve_bidder_instance, twelve_bidder_payments
+from coreselect.cli import main, render_region_map_svg
+from helpers import (
+    WRITER_GRIDS,
+    assert_same_text,
+    hand_built_region_map,
+    render_region_map_svg_by_cell,
+    twelve_bidder_instance,
+    twelve_bidder_payments,
+)
 
 
 # Full stdout of `verify-table --seed 7 --samples 60`, so any change to a
@@ -421,6 +429,22 @@ class TestRegionMapBytes:
             hashlib.sha256(path.read_bytes()).hexdigest() for path in (csv_path, svg_path)
         )
         assert digests == REGION_MAP_G_2_5_RESOLUTION_77[rule]
+
+    @pytest.mark.parametrize("rule", list(ReferenceRule))
+    @pytest.mark.parametrize("g,resolution", WRITER_GRIDS)
+    def test_svg_matches_per_cell_writer(self, rule, g, resolution):
+        grid = region_map(rule, g, resolution)
+        # The oracle runs first, so its list of rect strings is freed before
+        # the writer runs: at 1000 points that is up to a million strings.
+        expected = render_region_map_svg_by_cell(grid)
+        assert_same_text(render_region_map_svg(grid), expected)
+
+    def test_svg_of_hand_built_map_matches_per_cell_writer(self):
+        grid = hand_built_region_map()
+        text = render_region_map_svg(grid)
+        assert_same_text(text, render_region_map_svg_by_cell(grid))
+        # One rect per report cell: the all-None row and the None cell draw none.
+        assert text.count("<rect") == 1 + 11
 
     @pytest.mark.parametrize("g", ["inf", "nan", "1e308", "0", "-1"])
     def test_bad_global_bid_is_usage_error(self, capsys, g):

@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,15 @@ from coreselect.llg import (
 )
 from coreselect.reference import ReferenceRule as R
 from coreselect.reference import reference_point
-from helpers import llg_exact_reference, llg_profiles, region_map_by_cell
+from helpers import (
+    WRITER_GRIDS,
+    assert_same_text,
+    hand_built_region_map,
+    llg_exact_reference,
+    llg_profiles,
+    region_map_by_cell,
+    region_map_to_csv_by_cell,
+)
 
 TOL = 1e-9
 G1 = frozenset({"g1"})
@@ -415,6 +424,23 @@ class TestRegionMap:
         assert {case for case, _ in seen} == {case.value for case in CaseLabel}
         assert (CaseLabel.LOCALS_WEAK.value, True) in seen
 
+    @pytest.mark.parametrize("rule", list(R))
+    @pytest.mark.parametrize("g,resolution", WRITER_GRIDS)
+    def test_csv_matches_per_cell_writer(self, rule, g, resolution):
+        grid = region_map(rule, g, resolution)
+        # The oracle runs first, so its list of line strings is freed before
+        # the writer runs: at 1000 points that is a million strings.
+        expected = region_map_to_csv_by_cell(grid)
+        assert_same_text(region_map_to_csv(grid), expected)
+
+    def test_csv_of_hand_built_map_matches_per_cell_writer(self):
+        # Runs are found by identity: grouping equal reports would print the
+        # -0.0 cells as 0.0.
+        grid = hand_built_region_map()
+        text = region_map_to_csv(grid)
+        assert_same_text(text, region_map_to_csv_by_cell(grid))
+        assert text.count(",-0.0,-0.0\n") == 2
+
     def test_csv_deterministic(self):
         first = region_map_to_csv(region_map(R.SHAPLEY_PAYMENT_WITH_AUCTIONEER, resolution=20))
         second = region_map_to_csv(region_map(R.SHAPLEY_PAYMENT_WITH_AUCTIONEER, resolution=20))
@@ -544,7 +570,9 @@ class TestSampler:
                         break
                 assert sample_llg_profile(rng, case, g) == LlgBidProfile(a, b, g)
 
-    @pytest.mark.parametrize("g", [0.0, -1.0, math.nan, math.inf, 1e308])
+    # At sys.float_info.max / 2, 2g is finite, but a + b > g leaves
+    # a + b + g at least g plus the float above g, which rounds to inf.
+    @pytest.mark.parametrize("g", [0.0, -1.0, math.nan, math.inf, 1e308, sys.float_info.max / 2])
     @pytest.mark.parametrize("case", list(CaseLabel))
     def test_empty_domain_raises_without_drawing(self, case, g):
         with pytest.raises(ValueError, match="global bid"):
