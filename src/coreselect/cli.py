@@ -17,7 +17,6 @@ from .core import CoreViolation, core_violations, project_to_mrc
 from .llg import (
     BoundaryProximityError,
     RegionMap,
-    _row_runs,
     classify_case,
     numeric_derivative,
     projection_derivative,
@@ -227,10 +226,8 @@ def render_region_map_svg(grid: RegionMap) -> str:
     """Static SVG raster of a region map: one rect per cell, case lines overlaid."""
     resolution = len(grid.a_values)
     cell = SVG_SIZE / resolution
-    runs = [_row_runs(row) for row in grid.cells]
-    derivatives = sorted(
-        {report.derivative for row in runs for _, _, report in row if report is not None}
-    )
+    # Of the cells, only None, a global-winner cell, is false.
+    derivatives = sorted({report.derivative for row in grid.runs for _, _, report in row if report})
     # Each cell's <rect> is its column's x string, its row's y string and the
     # tail for its derivative's colour, each formatted once.
     tails = {
@@ -244,7 +241,7 @@ def render_region_map_svg(grid: RegionMap) -> str:
         f'width="{SVG_SIZE}" height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
         f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="#ffffff"/>',
     ]
-    for i, row in enumerate(runs):
+    for i, row in enumerate(grid.runs):
         x_prefix = f'<rect x="{i * cell:.2f}" y="'
         for start, stop, report in row:
             if report is not None:

@@ -24,6 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 from operator import is_not
 from typing import Callable
@@ -382,6 +383,22 @@ class RegionMap:
     b_values: tuple[float, ...]
     cells: tuple[tuple[DerivativeReport | None, ...], ...]
 
+    @cached_property
+    def runs(self) -> tuple[tuple[tuple[int, int, DerivativeReport | None], ...], ...]:
+        """Per row, the (start, stop, cell) of each run of one cell object.
+
+        Found once per map, on first use; both region-map writers write a run
+        at a time. ``region_map`` shares one report object along each run.
+        Runs are found by identity, not equality: two reports that compare
+        equal can still print differently, as a 0.0 and a -0.0 derivative do.
+        Not a field, so it takes no part in ``==``, ``hash`` or ``repr``.
+        """
+        runs = []
+        for row in self.cells:
+            starts = [0, *compress(range(1, len(row)), map(is_not, row, row[1:]))]
+            runs.append(tuple(zip(starts, [*starts[1:], len(row)], map(row.__getitem__, starts))))
+        return tuple(runs)
+
 
 # Guard of a row breakpoint, in payment units: far above the rounding of the
 # closed forms (about 1e-14 g), far below a grid step. The floor is for
@@ -459,17 +476,6 @@ def region_map(rule: ReferenceRule, g: float = 1.0, resolution: int = 200) -> Re
     return RegionMap(rule, g, coords, coords, tuple(cells))
 
 
-def _row_runs(row: tuple) -> list[tuple[int, int, DerivativeReport | None]]:
-    """(start, stop, cell) of each run of one cell object along a region-map row.
-
-    ``region_map`` shares one report object along each run. Runs are found by
-    identity, not equality: two reports that compare equal can still print
-    differently, as a 0.0 and a -0.0 derivative do.
-    """
-    starts = [0, *compress(range(1, len(row)), map(is_not, row, row[1:]))]
-    return list(zip(starts, [*starts[1:], len(row)], map(row.__getitem__, starts)))
-
-
 def region_map_to_csv(grid: RegionMap) -> str:
     """Serialise a region map, row-major by a then b, full float precision.
 
@@ -478,13 +484,13 @@ def region_map_to_csv(grid: RegionMap) -> str:
     """
     lines = ["A,B,case,region,derivative,sensitivity"]
     # The global bidder wins only where a + b < g, so both local bids are below g.
-    # Suffixes are keyed by id(), the identity runs are found by; the grid
-    # keeps every report alive while the suffixes are in use.
+    # Suffixes are keyed by id(), the identity ``RegionMap.runs`` are found
+    # by; the grid keeps every report alive while the suffixes are in use.
     suffixes = {id(None): f"{CaseLabel.LOCALS_WEAK.value},{Region.GLOBAL_WINNER.value},,"}
     b_prefixes = [f"{b!r}," for b in grid.b_values]
-    for a, row in zip(grid.a_values, grid.cells):
+    for a, row in zip(grid.a_values, grid.runs):
         a_prefix = f"{a!r},"
-        for start, stop, cell in _row_runs(row):
+        for start, stop, cell in row:
             suffix = suffixes.get(id(cell))
             if suffix is None:
                 suffix = suffixes[id(cell)] = (
@@ -492,9 +498,13 @@ def region_map_to_csv(grid: RegionMap) -> str:
                     f"{cell.derivative!r},{cell.sensitivity!r}"
                 )
             # One string per run: its lines differ only in their b column.
-            separator = suffix + "\n" + a_prefix
-            lines.append(a_prefix + separator.join(b_prefixes[start:stop]) + suffix)
+            lines.append(a_prefix + (suffix + "\n" + a_prefix).join(b_prefixes[start:stop]) + suffix)
     return "\n".join(lines) + "\n"
+
+
+# Pairs ``sample_llg_profile`` draws before it gives up: about half a second
+# of draws, where a case at g = 1 rejects at most half of them.
+MAX_DRAWS = 2**20
 
 
 def sample_llg_profile(
@@ -508,7 +518,9 @@ def sample_llg_profile(
     lies in the case. No pair passes where g is not positive or the smallest
     bid sum a passing pair can have is not finite, so those, like a case
     that is not a ``CaseLabel``, are a ``ValueError``. That sum is g plus
-    the float above g, or g plus twice it with both locals strong.
+    the float above g, or g plus twice it with both locals strong. Just
+    inside that edge almost no pair passes, so after ``MAX_DRAWS`` rejected
+    pairs the sampler gives up with a ``ValueError`` too.
     """
     if not isinstance(case, CaseLabel):
         raise ValueError(f"case must be a CaseLabel, got {case!r}")
@@ -522,11 +534,12 @@ def sample_llg_profile(
         raise ValueError(
             f"global bid must be positive with a finite least bid sum in case {case.value}, got {g}"
         )
-    while True:
+    for _ in range(MAX_DRAWS):
         a = rng.uniform(g, 2 * g) if position & 1 else rng.uniform(0.0, g)
         b = rng.uniform(g, 2 * g) if position & 2 else rng.uniform(0.0, g)
         if a + b > g and a + b + g < math.inf and _case_index(a, b, g) == position:
             return LlgBidProfile(a, b, g)
+    raise ValueError(f"no pair in case {case.value} at g = {g} passed in {MAX_DRAWS} draws")
 
 
 _Threshold = Callable[[float, float, float], bool] | None

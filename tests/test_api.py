@@ -49,3 +49,19 @@ def test_exports_are_exactly_the_imports():
 
 def test_exports_are_the_public_api():
     assert set(coreselect.__all__) == PUBLIC_API
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # A name with a leading underscore belongs to its own module; what two
+    # modules share is public.
+    package = Path(coreselect.__file__).parent
+    private = [
+        f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").partition(".")[0] == "coreselect")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -1,7 +1,9 @@
 import math
 import operator
 import random
+import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -31,6 +33,7 @@ from coreselect import (
 from coreselect.llg import (
     _FORMS,
     _SENSITIVITY,
+    MAX_DRAWS,
     THRESHOLD_TABLE,
     _threshold_holds,
     check_threshold_table,
@@ -230,6 +233,106 @@ class TestExactTables:
         assert _SENSITIVITY[case][rule] == da1 - da2
 
 
+# Each case at g = 1: the vertices, in order, of its closure within the bid
+# box [0, 2]^2, and the directions in which the case runs on past the box.
+CASE_POLYGONS = {
+    CaseLabel.LOCALS_WEAK: (((1, 0), (1, 1), (0, 1)), ()),
+    CaseLabel.LOCAL1_STRONG: (((1, 0), (2, 0), (2, 1), (1, 1)), ((1, 0),)),
+    CaseLabel.LOCAL2_STRONG: (((0, 1), (1, 1), (1, 2), (0, 2)), ((0, 1),)),
+    CaseLabel.LOCALS_STRONG: (((1, 1), (2, 1), (2, 2), (1, 2)), ((1, 0), (0, 1))),
+}
+ONE = Fraction(1)
+
+
+def _vertices(case):
+    return [(Fraction(a), Fraction(b)) for a, b in CASE_POLYGONS[case][0]]
+
+
+def _derived_form(cell):
+    """(alpha, beta, gamma): the cell's inequality is alpha a + beta b + gamma g > 0.
+
+    Read off the case's closed forms p1 and p2: the first inequality is
+    p1 - p2 + g - 2a > 0, the second p2 - p1 + g - 2b > 0.
+    """
+    (a1, b1, g1), (a2, b2, g2) = _coefficients(_FORMS[cell.case][cell.rule])
+    if cell.inequality == 1:
+        return a1 - a2 - 2, b1 - b2, g1 - g2 + 1
+    return a2 - a1, b2 - b1 - 2, g2 - g1 + 1
+
+
+def _in_case(case, a, b):
+    """Whether (a, b) at g = 1 is in the case and the bid box, ties counted as weak."""
+    profile = LlgBidProfile(a, b, ONE)
+    return a <= 2 and b <= 2 and profile.locals_win() and classify_case(profile) is case
+
+
+def _cell_id(cell):
+    return f"{cell.rule.value}-{cell.case.value}-{cell.inequality}"
+
+
+EXACT_CELLS = [cell for cell in THRESHOLD_TABLE if cell.exact is not None]
+NEVER_CELLS = [cell for cell in THRESHOLD_TABLE if cell.exact is None]
+SIMPLIFIED_CELLS = [cell for cell in THRESHOLD_TABLE if cell.simplified is not None]
+
+
+class TestExactThresholds:
+    """``THRESHOLD_TABLE`` against the inequalities its ``_FORMS`` give, in rationals at g = 1."""
+
+    @pytest.mark.parametrize("cell", EXACT_CELLS, ids=_cell_id)
+    def test_exact_cell_is_the_derived_inequality(self, cell):
+        alpha, beta, gamma = _derived_form(cell)
+
+        def derived(a, b):
+            return alpha * a + beta * b + gamma
+
+        vertices = _vertices(cell.case)
+        # Where the line derived = 0 crosses the polygon's edges (or runs through a vertex).
+        ends = set()
+        for p, q in zip(vertices, vertices[1:] + vertices[:1]):
+            if derived(*p) == 0:
+                ends.add(p)
+            elif derived(*p) * derived(*q) < 0:
+                t = derived(*p) / (derived(*p) - derived(*q))
+                ends.add((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+        assert len(ends) == 2, ends
+        (pa, pb), (qa, qb) = ends
+        points = list(vertices)
+        # A step off the line to either side, small enough to stay in the case.
+        step = Fraction(1, 100)
+        for t in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+            a, b = pa + t * (qa - pa), pb + t * (qb - pb)
+            assert derived(a, b) == 0 and _in_case(cell.case, a, b), (a, b)
+            assert not cell.exact(a, b, ONE), (a, b)
+            above, below = (a + step * alpha, b + step * beta), (a - step * alpha, b - step * beta)
+            assert _in_case(cell.case, *above) and _in_case(cell.case, *below), (a, b)
+            assert cell.exact(*above, ONE) and not cell.exact(*below, ONE), (a, b)
+            points += [(a, b), above, below]
+        for a, b in points:
+            assert cell.exact(a, b, ONE) == (derived(a, b) > 0), (a, b)
+
+    @pytest.mark.parametrize("cell", NEVER_CELLS, ids=_cell_id)
+    def test_none_cell_never_holds_in_its_case(self, cell):
+        # A linear form is at most 0 on the whole case if it is at its
+        # vertices and does not grow along its directions.
+        alpha, beta, gamma = _derived_form(cell)
+        for a, b in _vertices(cell.case):
+            assert alpha * a + beta * b + gamma <= 0, (a, b)
+        for da, db in CASE_POLYGONS[cell.case][1]:
+            assert alpha * da + beta * db <= 0, (da, db)
+
+    @pytest.mark.parametrize("cell", SIMPLIFIED_CELLS, ids=_cell_id)
+    def test_simplified_cell_is_exact_only_on_its_boundary(self, cell):
+        (axis,) = [axis for axis, name in enumerate("ab") if f"{name} = g" in cell.note]
+        p, q = [v for v in _vertices(cell.case) if v[axis] == 1]
+        for k in range(9):
+            a, b = p[0] + Fraction(k, 8) * (q[0] - p[0]), p[1] + Fraction(k, 8) * (q[1] - p[1])
+            assert cell.simplified(a, b, ONE) == cell.exact(a, b, ONE), (a, b)
+        # Points in eighths, off the boundaries a = g and b = g.
+        eighths = [Fraction(k, 8) for k in range(17) if k != 8]
+        inside = [(a, b) for a in eighths for b in eighths if _in_case(cell.case, a, b)]
+        assert any(cell.simplified(a, b, ONE) != cell.exact(a, b, ONE) for a, b in inside)
+
+
 def _boundary_points(plane: str, g: Fraction) -> list[tuple[Fraction, Fraction]]:
     """Rational local bids (a, b) that win against g on the plane a = g, b = g or a + b = g."""
     steps = (Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(2, 3), Fraction(1))
@@ -397,6 +500,16 @@ def assert_same_cells(grid, expected):
             pytest.fail(f"cell ({i}, {j}): {row[j]} is not {expected_row[j]}")
 
 
+def assert_same_runs(runs, expected):
+    """The runs are the expected (start, stop, cell) triples, each cell the very object."""
+    assert [[(start, stop) for start, stop, _ in row] for row in runs] == [
+        [(start, stop) for start, stop, _ in row] for row in expected
+    ]
+    for i, (row, expected_row) in enumerate(zip(runs, expected)):
+        for (start, _, cell), (_, _, expected_cell) in zip(row, expected_row):
+            assert cell is expected_cell, (i, start, cell, expected_cell)
+
+
 class TestRegionMap:
     def test_minimal_grid(self):
         grid = region_map(R.VCG, g=1.0, resolution=2)
@@ -440,6 +553,44 @@ class TestRegionMap:
         text = region_map_to_csv(grid)
         assert_same_text(text, region_map_to_csv_by_cell(grid))
         assert text.count(",-0.0,-0.0\n") == 2
+
+    def test_runs_of_hand_built_map(self):
+        grid = hand_built_region_map()
+        zero, negative_zero, zero_again = grid.cells[1][0], grid.cells[1][1], grid.cells[1][3]
+        one, half = grid.cells[2][1], grid.cells[3][0]
+        assert zero_again is zero and zero == negative_zero
+        # The adjacent 0.0 and -0.0 reports compare equal but are separate runs.
+        assert_same_runs(
+            grid.runs,
+            [
+                [(0, 4, None)],
+                [(0, 1, zero), (1, 3, negative_zero), (3, 4, zero)],
+                [(0, 1, None), (1, 2, one), (2, 3, zero), (3, 4, half)],
+                [(0, 4, half)],
+            ],
+        )
+
+    @pytest.mark.parametrize("rule", list(R))
+    @pytest.mark.parametrize("g,resolution", [grid for grid in WRITER_GRIDS if grid[1] < 1000])
+    def test_runs_expand_to_the_cells(self, rule, g, resolution):
+        grid = region_map(rule, g, resolution)
+        for i, (runs, row) in enumerate(zip(grid.runs, grid.cells, strict=True)):
+            # Each run starts where the one before stopped and holds another object.
+            assert [start for start, _, _ in runs] == [0] + [stop for _, stop, _ in runs[:-1]]
+            assert runs[-1][1] == len(row)
+            run_cells = [cell for _, _, cell in runs]
+            assert all(map(operator.is_not, run_cells, run_cells[1:]))
+            expanded = [cell for start, stop, cell in runs for _ in range(start, stop)]
+            assert all(map(operator.is_, expanded, row)), i
+
+    def test_runs_are_found_once_per_map(self):
+        grid = region_map(R.VCG, 1.0, 20)
+        assert grid.runs is grid.runs
+        # Not a field: a map whose runs were read is equal to a fresh one, by
+        # value, hash and repr.
+        fresh = region_map(R.VCG, 1.0, 20)
+        assert "runs" not in fresh.__dict__
+        assert (grid, hash(grid), repr(grid)) == (fresh, hash(fresh), repr(fresh))
 
     def test_csv_deterministic(self):
         first = region_map_to_csv(region_map(R.SHAPLEY_PAYMENT_WITH_AUCTIONEER, resolution=20))
@@ -552,6 +703,9 @@ CASE_INTERVALS = {
 }
 
 
+HALF_MAX = sys.float_info.max / 2
+
+
 class TestSampler:
     @pytest.mark.parametrize("g", [1.0, 2.0**-30, 2.0**40, 5.3e307])
     @pytest.mark.parametrize("case", list(CaseLabel))
@@ -588,6 +742,42 @@ class TestSampler:
         for case in CaseLabel:
             if case is not CaseLabel.LOCALS_STRONG:
                 assert classify_case(sample_llg_profile(rng, case, g)) is case
+
+    # Just inside the domain's edge almost no pair passes: at these g each
+    # ran on without end before the sampler's bound.
+    @pytest.mark.parametrize(
+        "case,g",
+        [
+            (CaseLabel.LOCALS_WEAK, math.nextafter(HALF_MAX, 0)),
+            (CaseLabel.LOCAL1_STRONG, math.nextafter(HALF_MAX, 0)),
+            (CaseLabel.LOCAL2_STRONG, math.nextafter(HALF_MAX, 0)),
+            (CaseLabel.LOCAL1_STRONG, HALF_MAX * (1 - 2**-20)),
+            (CaseLabel.LOCAL2_STRONG, HALF_MAX * (1 - 2**-20)),
+        ],
+    )
+    def test_gives_up_after_the_bound(self, case, g):
+        rng, expected_rng = random.Random(1), random.Random(1)
+        started = time.perf_counter()
+        message = rf"{case.value} at g = {re.escape(repr(g))} passed in {MAX_DRAWS} draws"
+        with pytest.raises(ValueError, match=message):
+            sample_llg_profile(rng, case, g)
+        # About half a second here; the draw count below is the exact check.
+        assert time.perf_counter() - started < 5
+        for _ in range(2 * MAX_DRAWS):
+            expected_rng.random()
+        assert rng.getstate() == expected_rng.getstate()
+
+    def test_returns_within_the_bound_as_before(self):
+        # 220,704 pairs, of which only the last passes: under the bound, so the
+        # draw is the one the unbounded sampler returned.
+        g = HALF_MAX * (1 - 2**-20)
+        expected_rng = random.Random(1)
+        while True:
+            a, b = expected_rng.uniform(0.0, g), expected_rng.uniform(0.0, g)
+            if a + b > g and a + b + g < math.inf:
+                break
+        profile = sample_llg_profile(random.Random(1), CaseLabel.LOCALS_WEAK, g)
+        assert profile == LlgBidProfile(a, b, g)
 
     @pytest.mark.parametrize("case", ["locals_weak", None, 0])
     def test_case_must_be_a_label(self, case):
