@@ -11,6 +11,7 @@ in closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -63,22 +64,22 @@ def core_violations(
     rejected, so every returned slack is finite. Bounds and slacks sum over
     the coalition and payer frozensets in their iteration order, which is
     not ascending id order for every set (``frozenset({9, 3})`` yields 9
-    first).
+    first); ``_core_orders`` keeps those orders, once per bidder count.
     """
     values = _payment_values(payments, instance.n)
-    ids = instance.bidder_ids()
     n = instance.n
-    everyone = frozenset(ids)
+    orders = _core_orders(n)
     table = instance.coalition_values
     realized = instance.realized
     tol = CORE_TOLERANCE * instance.scale
     violations = []
     for mask in range((1 << n) - 1):
-        coalition = frozenset(ids[i] for i in range(n) if mask >> i & 1)
-        bound = table[mask] - sum(realized[i - 1] for i in coalition)
-        payers = everyone - coalition
-        slack = sum(values[i - 1] for i in payers) - bound
+        start = mask * n
+        split = start + mask.bit_count()
+        bound = table[mask] - sum(map(realized.__getitem__, orders[start:split]))
+        slack = sum(map(values.__getitem__, orders[split : start + n])) - bound
         if slack < -tol:
+            coalition, payers = _coalition_and_payers(n, mask)
             if slack == -math.inf:
                 raise ValueError(f"the sum of the payments of bidders {sorted(payers)} overflows")
             constraint = CoreConstraint("coalition", coalition, payers, bound)
@@ -92,6 +93,28 @@ def core_violations(
             single = frozenset({i})
             violations.append(CoreViolation(CoreConstraint("nonneg", single, single, 0.0), paid))
     return violations
+
+
+def _coalition_and_payers(n: int, mask: int) -> tuple[frozenset[int], frozenset[int]]:
+    """The blocking coalition of bidders 1..n with this mask, and everyone else."""
+    coalition = frozenset(i + 1 for i in range(n) if mask >> i & 1)
+    return coalition, frozenset(range(1, n + 1)) - coalition
+
+
+@functools.cache
+def _core_orders(n: int) -> bytes:
+    """The order in which ``core_violations`` sums each coalition condition, for n bidders.
+
+    n entries per proper coalition mask, in mask order: the positions
+    (id - 1) of the coalition's members, then of the payers', each in the
+    iteration order of the frozensets ``_coalition_and_payers`` builds, so
+    that sums over them round as sums over those sets do.
+    """
+    orders = bytearray()
+    for mask in range((1 << n) - 1):
+        for members in _coalition_and_payers(n, mask):
+            orders.extend(i - 1 for i in members)
+    return bytes(orders)
 
 
 def llg_segment_ends(a: float, b: float, g: float) -> tuple[float, float]:

@@ -8,11 +8,12 @@ from the layer of the coalition without its highest bidder, and two walks
 use it: ``winner_determination`` along the chain of bidders 1..n, for the
 efficient allocation and its tie-broken assignment, and
 ``coalition_value_table`` over every bidder coalition, for the table that
-``coalitional_value`` reads. Each layer is relaxed only at the goods
-masks it is ever read at (``_program_rows``), which leaves every entry
-that is read bit-identical to relaxing all of them. Welfares within
-``TIE_TOLERANCE`` times the instance's largest bid (``scale``) of the best
-one tie with it, so the tie window scales with them.
+``coalitional_value`` reads. Each layer holds only the goods masks it is
+ever read at (``_program_rows``), one entry per slot of its highest
+bidder's read set, which leaves every entry that is read bit-identical to
+relaxing all 2**m masks. Welfares within ``TIE_TOLERANCE`` times the
+instance's largest bid (``scale``) of the best one tie with it, so the tie
+window scales with them.
 """
 
 from __future__ import annotations
@@ -139,7 +140,8 @@ class AuctionInstance:
     scale: float = field(init=False, repr=False, compare=False)  # largest bid, 0.0 if none
     # Each bidder's candidate awards (``_bidder_options``), in id order.
     options: tuple = field(init=False, repr=False, compare=False)
-    _rows: list = field(init=False, repr=False, compare=False)  # ``_program_rows``, for both walks
+    # ``_program_rows``: (slots, slot count, cuts, rows), for both walks.
+    _program: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(set(self.goods)) != len(self.goods):
@@ -164,7 +166,7 @@ class AuctionInstance:
             raise ValueError("the bidders' largest bids must have a finite sum")
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "options", options)
-        object.__setattr__(self, "_rows", _program_rows(self))
+        object.__setattr__(self, "_program", _program_rows(self))
 
     @property
     def n(self) -> int:
@@ -320,14 +322,16 @@ def winner_determination(instance: AuctionInstance) -> Allocation:
     full = (1 << instance.m) - 1
     options = instance.options
     tol = TIE_TOLERANCE * instance.scale
-    layer = ([0.0] * (full + 1), [-math.inf] * (full + 1), None, None)
-    for h, rows in enumerate(instance._rows):
-        layer = _relaxed(layer, h, rows)
-    welfare = layer[0][full]
-    if _ties(welfare, layer[1][full], tol):
-        welfare, picks = _tie_broken(options, layer, full, tol)
+    slots, count, cuts, rows = instance._program
+    layer = ([0.0] * count, [-math.inf] * count, None, None)
+    for h, cut in enumerate(cuts):
+        layer = _relaxed(layer, h, cut, rows[h])
+    # Slot 0 holds the full goods mask.
+    welfare = layer[0][0]
+    if _ties(welfare, layer[1][0], tol):
+        welfare, picks = _tie_broken(options, slots, layer, full, tol)
     else:
-        picks = _best_path(options, layer, full)
+        picks = _best_path(options, slots, layer, full)
     bundles = [bidder_options[k][2] for bidder_options, k in zip(options, picks)]
     return Allocation(dict(zip(instance.bidder_ids(), bundles)), welfare)
 
@@ -357,44 +361,46 @@ def coalition_value_table(instance: AuctionInstance) -> list[float]:
     """
     n = instance.n
     full = (1 << instance.m) - 1
-    rows = instance._rows
+    slots, count, cuts, rows = instance._program
     tol = TIE_TOLERANCE * instance.scale
     table = [0.0] * (1 << n)
-    empty = ([0.0] * (full + 1), [-math.inf] * (full + 1), None, None)
+    empty = ([0.0] * count, [-math.inf] * count, None, None)
     # Entries: coalition mask, index of the next bidder to add, its layer.
     stack = [(0, 0, empty)] if n else []
     while stack:
         coalition, h, layer = stack.pop()
         child = coalition | 1 << h
-        child_layer = _relaxed(layer, h, rows[h])
+        child_layer = _relaxed(layer, h, cuts[h], rows[h])
         if h < n - 1:
             stack.append((coalition, h + 1, layer))
             stack.append((child, h + 1, child_layer))
-        table[child] = best = child_layer[0][full]
-        if _ties(best, child_layer[1][full], tol):
-            table[child] = _tie_broken(instance.options, child_layer, full, tol)[0]
+        # Slot 0 holds the full goods mask.
+        table[child] = best = child_layer[0][0]
+        if _ties(best, child_layer[1][0], tol):
+            table[child] = _tie_broken(instance.options, slots, child_layer, full, tol)[0]
     return table
 
 
-def _relaxed(layer: tuple, h: int, rows: list) -> tuple:
+def _relaxed(layer: tuple, h: int, cut: slice, rows: list) -> tuple:
     """A coalition's layer, from the layer of the coalition without h, its highest bidder.
 
-    A layer is (best, bound, h, parent). For each goods mask g the layer is
-    read at (``_program_rows``), best[g] is the best welfare the coalition
-    reaches using only goods in g, and bound[g] is an upper bound on the
-    welfare of every other assignment there, so a second assignment at the
-    best welfare raises the bound to it; other entries keep the parent's
-    values, which nothing reads. h is the index of the bidder added last
-    and parent the layer it was built from; the empty coalition's layer
-    has None for both. Each of bidder h's rows relaxes its goods masks from
+    A layer is (best, bound, h, parent). best and bound hold one entry per
+    slot of bidder h's read set (``_program_rows``): the parent's entries
+    cut to that prefix (``cut``), then relaxed. For the goods mask g in a
+    slot, best is the best welfare the coalition reaches using only goods
+    in g, and bound is an upper bound on the welfare of every other
+    assignment there, so a second assignment at the best welfare raises
+    the bound to it. h is the index of the bidder added last and parent
+    the layer it was built from; the empty coalition's layer has None for
+    both. Each of bidder h's rows relaxes its goods slots from
     ``parent[g & ~bundle] + value`` (Rothkopf, Pekec and Harstad 1998).
     Adding the highest bidder last makes every candidate the id-order float
     sum of its assignment, and since float addition is monotone, the best
     of the parent plus a value is the best of the sums.
     """
     values, lower = layer[0], layer[1]
-    child_values = values.copy()
-    child_lower = lower.copy()
+    child_values = values[cut]
+    child_lower = lower[cut]
     for value, pairs in rows:
         for rest, goods in pairs:
             candidate = values[rest] + value
@@ -411,38 +417,61 @@ def _relaxed(layer: tuple, h: int, rows: list) -> tuple:
     return child_values, child_lower, h, layer
 
 
-def _program_rows(instance: AuctionInstance) -> list:
-    """Per bidder and positive option, the goods-mask program's relaxation row.
-
-    A row is the option's value and the (rest, goods) mask pairs it relaxes:
-    one for each goods mask in the bidder's read set that contains the
-    bundle, in ascending order of goods, with rest = goods & ~bundle.
+def _program_rows(instance: AuctionInstance) -> tuple[list, int, list, list]:
+    """The goods-mask program: a slot per read goods mask, and per bidder a cut and rows.
 
     The read set of bidder i is every goods mask at which a layer whose
     highest member is i is ever read: ``full``, and ``full`` without any
     union of pairwise-disjoint positive option bundles of bidders above i,
     one bundle each. Bidder n's layers are read only at ``full``; bidder i's
     read set is bidder i + 1's plus the rest masks of bidder i + 1's pairs,
-    so it is built walking the bidders from n down. A higher bidder relaxes
-    its layer from a lower one's only at those rest masks, and the
-    trace-backs (``_best_path``, ``_tie_broken``) go down from ``full`` the
-    same way, so every entry that is read is relaxed. Each of them sees
-    the same candidates in the same order as when every mask is relaxed,
-    so tables, allocations and tie-breaks are bit-identical.
+    so it is built walking the bidders from n down. ``full`` has slot 0,
+    and the masks each bidder's rows add take the next slots, so every read
+    set is a prefix of the slots and a layer holds one entry per slot of
+    its highest member's read set. Returns ``slots``, which maps each goods
+    mask to its slot (None for a mask nothing reads); the number of slots,
+    the size of the empty coalition's layer; each bidder's cut,
+    ``slice(size)`` of its read set, made once here because CPython 3.11
+    slices a short list faster by a ready slice than by ``[:size]``; and
+    each bidder's rows.
+
+    A row is a positive option's value and the (rest_slot, goods_slot)
+    pairs it relaxes: one for each goods mask in the bidder's read set
+    that contains the bundle, in slot order, with rest = goods & ~bundle.
+    A higher bidder relaxes its layer from a lower one's only at those rest
+    masks, and the trace-backs (``_best_path``, ``_tie_broken``) go down
+    from ``full`` the same way, so every entry that is read is relaxed, and
+    a read outside a read set fails (an index out of range, or None). Each
+    entry sees the same candidates in the same order as when every mask is
+    relaxed, so tables, allocations and tie-breaks are bit-identical.
     """
-    reads = {(1 << instance.m) - 1}
+    full = (1 << instance.m) - 1
+    slots = [None] * (full + 1)
+    slots[full] = 0
+    masks = [full]  # by slot
+    cuts = []
     relaxations = []
     for bidder_options in reversed(instance.options):
-        read = sorted(reads)
-        rows = [
-            (value, [(goods & ~bundle, goods) for goods in read if not bundle & ~goods])
-            for bundle, value, _ in bidder_options[:-1]
-        ]
-        for _, pairs in rows:
-            reads.update(rest for rest, _ in pairs)
+        size = len(masks)
+        rows = []
+        for bundle, value, _ in bidder_options[:-1]:
+            pairs = []
+            for goods_slot in range(size):
+                goods = masks[goods_slot]
+                if bundle & ~goods:
+                    continue
+                rest = goods & ~bundle
+                rest_slot = slots[rest]
+                if rest_slot is None:
+                    rest_slot = slots[rest] = len(masks)
+                    masks.append(rest)
+                pairs.append((rest_slot, goods_slot))
+            rows.append((value, pairs))
+        cuts.append(slice(size))
         relaxations.append(rows)
+    cuts.reverse()
     relaxations.reverse()
-    return relaxations
+    return slots, len(masks), cuts, relaxations
 
 
 def _ties(best: float, welfare: float, tol: float) -> bool:
@@ -450,20 +479,21 @@ def _ties(best: float, welfare: float, tol: float) -> bool:
     return best <= welfare + tol
 
 
-def _best_path(options: tuple, layer: tuple, goods: int) -> list[int]:
+def _best_path(options: tuple, slots: list, layer: tuple, goods: int) -> list[int]:
     """Each member's option index in the one assignment that reaches ``layer``'s best welfare.
 
     For a coalition where no other assignment ties the best one: going down
     from the highest member, each layer's entry is reached exactly by one
     option on top of the layer below, the one that assignment takes.
+    ``slots`` maps goods masks to layer entries (``_program_rows``).
     """
     picks = []
     while True:
         _, _, h, parent = layer
-        target = layer[0][goods]
+        target = layer[0][slots[goods]]
         rest = parent[0]
         for k, (bundle, value, _) in enumerate(options[h]):
-            if not bundle & ~goods and rest[goods & ~bundle] + value == target:
+            if not bundle & ~goods and rest[slots[goods & ~bundle]] + value == target:
                 break
         picks.append(k)
         goods &= ~bundle
@@ -473,7 +503,9 @@ def _best_path(options: tuple, layer: tuple, goods: int) -> list[int]:
         layer = parent
 
 
-def _tie_broken(options: tuple, layer: tuple, full: int, tol: float) -> tuple[float, list[int]]:
+def _tie_broken(
+    options: tuple, slots: list, layer: tuple, full: int, tol: float
+) -> tuple[float, list[int]]:
     """The first assignment in the canonical order whose welfare ties the coalition's best.
 
     For a coalition where another assignment ties the best one. ``layer``
@@ -486,10 +518,11 @@ def _tie_broken(options: tuple, layer: tuple, full: int, tol: float) -> tuple[fl
     members' values, in id order, since float addition is monotone. The
     first tying choice of the members below a given one depends only on
     the goods left and the higher members' nonzero values, so it is
-    computed once per such state. Returns the assignment's welfare and
-    each member's option index, in id order.
+    computed once per such state. ``slots`` maps goods masks to layer
+    entries (``_program_rows``). Returns the assignment's welfare and each
+    member's option index, in id order.
     """
-    best = layer[0][full]
+    best = layer[0][slots[full]]
     memo: dict = {}
 
     def first(layer: tuple, goods: int, later: tuple[float, ...]) -> tuple[tuple[int, ...], float]:
@@ -502,7 +535,7 @@ def _tie_broken(options: tuple, layer: tuple, full: int, tol: float) -> tuple[fl
         for k, (bundle, value, _) in enumerate(options[h]):
             if bundle & ~goods:
                 continue
-            welfare = rest[goods & ~bundle] + value
+            welfare = rest[slots[goods & ~bundle]] + value
             for higher in later:
                 welfare += higher
             if not _ties(best, welfare, tol):

@@ -85,6 +85,26 @@ def twelve_bidder_instance() -> AuctionInstance:
     return AuctionInstance(goods, tuple(bidders))
 
 
+def general_auction_instance() -> AuctionInstance:
+    """Fixed 12-bidder, 8-good instance with three distinct bids of two to four goods each.
+
+    The shape of the benchmark's largest general auction, drawn here on its
+    own: bid values lie on a 0.001 grid in [0.001, 1].
+    """
+    rng = random.Random(20)
+    goods = tuple(f"g{k}" for k in range(1, 9))
+    bidders = []
+    for i in range(1, 13):
+        bundles: list[frozenset[str]] = []
+        while len(bundles) < 3:
+            bundle = frozenset(rng.sample(goods, rng.randint(2, 4)))
+            if bundle not in bundles:
+                bundles.append(bundle)
+        bids = tuple(Bid(bundle, rng.randint(1, 1000) / 1000) for bundle in bundles)
+        bidders.append(Bidder(i, bids))
+    return AuctionInstance(goods, tuple(bidders))
+
+
 def twelve_bidder_payments() -> tuple[float, ...]:
     """Payments that violate many coalition constraints of ``twelve_bidder_instance``."""
     rng = random.Random(12)

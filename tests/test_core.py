@@ -27,6 +27,7 @@ from coreselect import (
     shapley_payments,
     vcg,
 )
+from coreselect.core import _core_orders
 from coreselect.reference import ReferenceRule
 from helpers import (
     bounded_floats,
@@ -184,6 +185,36 @@ class TestViolationsMatchConstraints:
             != v.slack
             for v in unordered
         )
+
+
+class TestCoreOrders:
+    """``_core_orders`` keeps, per bidder count, the order the frozenset sums take."""
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_orders_match_frozenset_construction(self, n):
+        ids = tuple(range(1, n + 1))
+        everyone = frozenset(ids)
+        expected = bytearray()
+        for mask in range((1 << n) - 1):
+            coalition = frozenset(ids[i] for i in range(n) if mask >> i & 1)
+            expected.extend(i - 1 for i in coalition)
+            expected.extend(i - 1 for i in everyone - coalition)
+        orders = _core_orders(n)
+        assert orders == expected
+        assert len(orders) == n * (2**n - 1)
+        assert _core_orders(n) is orders
+
+    def test_violations_iterate_like_the_oracle(self):
+        instance = twelve_bidder_instance()
+        oracle = {(c.kind, c.coalition): c for c in core_constraints(instance)}
+        found = core_violations(instance, twelve_bidder_payments())
+        assert any(v.constraint.kind == "coalition" for v in found)
+        for violation in found:
+            constraint = violation.constraint
+            expected = oracle[constraint.kind, constraint.coalition]
+            assert tuple(constraint.coalition) == tuple(expected.coalition)
+            assert tuple(constraint.payers) == tuple(expected.payers)
+        assert len(_core_orders(instance.n)) == 12 * (2**12 - 1)
 
 
 class TestNearFloatMax:

@@ -15,16 +15,21 @@ from coreselect import (
     SizeLimitError,
     coalition_value_table,
     coalitional_value,
+    core_violations,
     instance_from_json,
     instance_to_json,
     llg_instance,
+    reference_point,
     winner_determination,
 )
+from coreselect import model
 from coreselect.model import TIE_TOLERANCE, _program_rows
+from coreselect.reference import ReferenceRule
 from coreselect.verify import random_instance
 from helpers import (
     bid_value_from_bids,
     exhaustive_best,
+    general_auction_instance,
     instances,
     largest_bid,
     realized_welfare,
@@ -248,16 +253,109 @@ def sliding_ties_instance(scale):
 
 class TestProgramRows:
     def test_llg_read_sets(self):
-        # Goods masks: g1 = 0b01, g2 = 0b10, full = 0b11. The global bidder's
-        # layers are read only at the full mask. Bidder 2's are also read at
-        # the empty mask, which the global package leaves, and its g2 option
-        # fits only the full mask. Bidder 1's are also read at g1 alone,
-        # which bidder 2's g2 leaves.
-        assert _program_rows(llg_instance(0.4, 0.5, 0.8)) == [
-            [(0.4, [(0b00, 0b01), (0b10, 0b11)])],
-            [(0.5, [(0b01, 0b11)])],
-            [(0.8, [(0b00, 0b11)])],
+        # Goods masks: g1 = 0b01, g2 = 0b10, full = 0b11, in slot 0. The
+        # global bidder's layers are read only at the full mask: one slot.
+        # Bidder 2's are also read at the empty mask (slot 1), which the
+        # global package leaves, and its g2 option fits only the full mask.
+        # Bidder 1's are also read at g1 alone (slot 2), which bidder 2's g2
+        # leaves. The empty coalition's layer is also read at g2 (slot 3),
+        # which bidder 1's g1 leaves of the full mask.
+        slots, count, cuts, rows = _program_rows(llg_instance(0.4, 0.5, 0.8))
+        assert slots == [1, 2, 3, 0]
+        assert count == 4
+        assert cuts == [slice(3), slice(2), slice(1)]
+        assert rows == [
+            [(0.4, [(3, 0), (1, 2)])],
+            [(0.5, [(2, 0)])],
+            [(0.8, [(1, 0)])],
         ]
+
+    def test_read_outside_a_read_set_fails(self):
+        instance = llg_instance(0.4, 0.5, 0.8)
+        slots, count, cuts, rows = instance._program
+        layer = ([0.0] * count, [-math.inf] * count, None, None)
+        for h, cut in enumerate(cuts):
+            layer = model._relaxed(layer, h, cut, rows[h])
+        # The global bidder's layer holds the full mask only, not g1 alone.
+        with pytest.raises(IndexError):
+            model._best_path(instance.options, slots, layer, 0b01)
+
+    @settings(max_examples=200, deadline=None)
+    @given(instance=instances(max_bidders=7, max_goods=5))
+    def test_slots_and_read_sets(self, instance):
+        slots, count, cuts, rows = _program_rows(instance)
+        full = (1 << instance.m) - 1
+        assert len(slots) == full + 1
+        assert slots[full] == 0
+        assert sorted(slot for slot in slots if slot is not None) == list(range(count))
+        sizes = [cut.stop for cut in cuts]
+        assert cuts == [slice(size) for size in sizes]
+        assert sizes[-1] == 1
+        # Each read set holds the next bidder's as a prefix; the empty
+        # coalition's layer is read at every slot.
+        below = [count, *sizes]
+        assert below == sorted(below, reverse=True)
+        masks = {slot: mask for mask, slot in enumerate(slots) if slot is not None}
+        for h, bidder_rows in enumerate(rows):
+            options = instance.options[h][:-1]
+            assert [value for value, _ in bidder_rows] == [value for _, value, _ in options]
+            for (bundle, _, _), (_, pairs) in zip(options, bidder_rows):
+                fitting = [slot for slot in range(sizes[h]) if not bundle & ~masks[slot]]
+                assert [goods for _, goods in pairs] == fitting
+                for rest, goods in pairs:
+                    assert rest < below[h]
+                    assert goods < sizes[h]
+                    assert masks[rest] == masks[goods] & ~bundle
+
+    @settings(max_examples=100, deadline=None)
+    @given(instance=instances(max_bidders=7, max_goods=5))
+    def test_walks_size_each_layer_to_its_read_set(self, instance):
+        _, count, cuts, rows = instance._program
+        below = [count, *(cut.stop for cut in cuts)]
+        pairs = [sum(len(row_pairs) for _, row_pairs in bidder_rows) for bidder_rows in rows]
+        for walk, calls_per_bidder in (
+            (winner_determination, [1] * instance.n),
+            (coalition_value_table, [2**h for h in range(instance.n)]),
+        ):
+            calls = recorded_relaxations(walk, instance)
+            assert [sum(h == k for h, _, _, _ in calls) for k in range(instance.n)] == (
+                calls_per_bidder
+            )
+            # The relaxation count of ROADMAP item 1: sum(2**h * pairs_h)
+            # for the table, one call per bidder for the chain.
+            assert sum(relaxed for _, _, _, relaxed in calls) == sum(
+                c * p for c, p in zip(calls_per_bidder, pairs)
+            )
+            for h, parent_size, size, _ in calls:
+                assert size == below[h + 1]
+                # The parent is the empty layer or one of a lower bidder.
+                assert parent_size in below[: h + 1]
+                if walk is winner_determination:
+                    assert parent_size == below[h]
+
+
+def recorded_relaxations(walk, instance) -> list[tuple[int, int, int, int]]:
+    """Run a walk with ``model._relaxed`` recorded, one entry per call.
+
+    Each entry is the bidder index, the parent layer's size, the child
+    layer's size (both of its lists) and the number of (rest, goods) pairs
+    the call relaxed.
+    """
+    relaxed = model._relaxed
+    calls = []
+
+    def recorded(layer, h, cut, rows):
+        child = relaxed(layer, h, cut, rows)
+        assert len(child[0]) == len(child[1])
+        calls.append((h, len(layer[0]), len(child[0]), sum(len(pairs) for _, pairs in rows)))
+        return child
+
+    model._relaxed = recorded
+    try:
+        walk(instance)
+    finally:
+        model._relaxed = relaxed
+    return calls
 
 
 class TestCoalitionValueTableExact:
@@ -313,6 +411,13 @@ class TestCoalitionValueTableExact:
         instance = twelve_tie_valued_instance()
         assert coalition_value_table(instance) == _search_table(instance)
 
+    # The general-auction benchmark's largest size, where the read sets of
+    # the highest bidders hold a handful of the 256 goods masks.
+    @pytest.mark.parametrize("make", [twelve_bidder_instance, general_auction_instance])
+    def test_general_auction_shape(self, make):
+        instance = make()
+        assert coalition_value_table(instance) == _search_table(instance)
+
 
 class TestWinnerDeterminationExact:
     """``winner_determination`` equals the branch-and-bound search with ``==``."""
@@ -348,6 +453,9 @@ class TestWinnerDeterminationExact:
     def test_twelve_bidders(self):
         self.assert_matches_search(twelve_bidder_instance())
 
+    def test_general_auction_shape(self):
+        self.assert_matches_search(general_auction_instance())
+
     def test_no_bidders(self):
         instance = AuctionInstance(("g1", "g2"), ())
         allocation = winner_determination(instance)
@@ -368,6 +476,58 @@ class TestWinnerDeterminationExact:
         assert table == _search_table(instance)
         assert table[0b01] == 1e9 * scale
         assert table[0b01] <= table[0b11] + tie_tolerance(instance)
+
+
+# Instances with nothing to award: every layer is the one slot of ``full``.
+EDGE_INSTANCES = {
+    "no bidders": AuctionInstance(("g1", "g2"), ()),
+    "no goods": AuctionInstance((), (Bidder(1, ()), Bidder(2, ()))),
+    "zero bids": AuctionInstance(
+        ("g1", "g2"),
+        (
+            Bidder(1, (Bid(G1, 0.0),)),
+            Bidder(2, (Bid(BOTH, 0.0), Bid(G2, 0.0))),
+            Bidder(3, ()),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_INSTANCES)
+class TestEdgeInstances:
+    def test_program(self, name):
+        instance = EDGE_INSTANCES[name]
+        slots, count, cuts, rows = instance._program
+        assert count == 1
+        assert slots == [None] * ((1 << instance.m) - 1) + [0]
+        assert cuts == [slice(1)] * instance.n
+        assert rows == [[]] * instance.n
+
+    def test_walks(self, name):
+        instance = EDGE_INSTANCES[name]
+        n = instance.n
+        table = coalition_value_table(instance)
+        assert table == _search_table(instance) == [0.0] * (1 << n)
+        allocation = winner_determination(instance)
+        assert allocation.assignment == {i: frozenset() for i in instance.bidder_ids()}
+        assert allocation.welfare == 0.0
+        TestWinnerDeterminationExact.assert_matches_search(instance)
+        chain = recorded_relaxations(winner_determination, instance)
+        assert chain == [(h, 1, 1, 0) for h in range(n)]
+        walk = recorded_relaxations(coalition_value_table, instance)
+        assert sorted(walk) == sorted((h, 1, 1, 0) for h in range(n) for _ in range(2**h))
+
+    def test_rules_and_core(self, name):
+        instance = EDGE_INSTANCES[name]
+        n = instance.n
+        for rule in ReferenceRule:
+            assert reference_point(instance, rule) == (0.0,) * n
+        assert core_violations(instance, (0.0,) * n) == []
+        # Paying anything breaks only the rationality caps, which are zero.
+        found = core_violations(instance, (1.0,) * n)
+        assert [(v.constraint.kind, set(v.constraint.payers), v.slack) for v in found] == [
+            ("ir", {i}, -1.0) for i in instance.bidder_ids()
+        ]
 
 
 @st.composite
