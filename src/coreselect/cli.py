@@ -94,50 +94,44 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_rule(p: argparse.ArgumentParser) -> None:
         p.add_argument("--rule", choices=_RULE_CHOICES, required=True, help="reference rule")
 
-    def add_out(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", help="write output to this path instead of stdout")
-
     p = sub.add_parser("payments", help="reference payment/payoff vector for a profile")
     add_llg_or_instance(p)
     add_rule(p)
-    add_out(p)
 
     p = sub.add_parser("project", help="minimum-revenue core-selecting payment")
     add_llg(p)
     add_rule(p)
     p.add_argument("--metric", type=float, default=2.0, help="L_c metric exponent, c > 1")
-    add_out(p)
 
     p = sub.add_parser("sensitivity", help="sensitivities of the reference rule to both local bids")
     add_llg(p)
     add_rule(p)
-    add_out(p)
 
     p = sub.add_parser("derivative", help="projected-payment derivative with numeric cross-check")
     add_llg(p)
     add_rule(p)
     p.add_argument("--step", type=float, default=None, help="finite-difference step")
-    add_out(p)
 
     p = sub.add_parser("region-map", help="derivative map over the local-bid plane as CSV")
     add_rule(p)
     p.add_argument("--g", type=float, default=1.0, help="global bundle bid (default 1.0)")
     p.add_argument("--resolution", type=int, default=200, help="grid points per axis")
     p.add_argument("--svg", help="also render the map to this SVG path")
-    add_out(p)
 
     p = sub.add_parser("verify-table", help="run the randomized cross-verification suites")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed (default 7)")
     p.add_argument("--samples", type=int, default=1000, help="sampled profiles per case")
-    add_out(p)
 
     p = sub.add_parser("core-check", help="check a payment vector against the core constraints")
     add_llg_or_instance(p)
     p.add_argument(
         "--payments", nargs="+", type=float, required=True, help="one payment per bidder"
     )
-    add_out(p)
 
+    # Every subcommand writes through _write, which reads --out; declared
+    # last, so it stays the last option in each --help.
+    for p in sub.choices.values():
+        p.add_argument("--out", help="write output to this path instead of stdout")
     return parser
 
 

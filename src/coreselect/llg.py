@@ -4,7 +4,9 @@ Per-case closed forms of the six reference rules for the two local bidders,
 their sensitivities (as exact rationals), the piecewise derivative of the
 projected payment rule with respect to the first local bid, a finite
 difference oracle that differentiates the full numeric pipeline, and region
-maps over the (a, b) plane.
+maps over the (a, b) plane. Each closed form is written for bidder 1;
+bidder 2's entry comes from the mirror rule: it is bidder 1's form in the
+mirrored case (a > g and b > g exchanged) at the swapped bids (b, a, g).
 
 The bid space splits into four cases by comparing each local bid to the
 global bid, with ties counted as weak; every closed form is continuous
@@ -27,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from operator import is_not
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import even_split, llg_segment_ends, project_to_mrc
 from .model import TIE_TOLERANCE, LlgBidProfile
@@ -102,72 +104,69 @@ def classify_case(profile: LlgBidProfile) -> CaseLabel:
 
 _R = ReferenceRule
 
-_FormPair = Callable[[float, float, float], tuple[float, float]]
+_Form = Callable[[float, float, float], float]
 
-_FORMS: dict[CaseLabel, dict[ReferenceRule, _FormPair]] = {
+# Bidder 1's closed form per case and rule, each written once; _FORMS adds
+# bidder 2's by the mirror rule.
+_FORM1: dict[CaseLabel, dict[ReferenceRule, _Form]] = {
     CaseLabel.LOCALS_WEAK: {
-        _R.FIRST_PRICE: lambda a, b, g: (a, b),
-        _R.VCG: lambda a, b, g: (g - b, g - a),
-        _R.SHAPLEY_PAYMENT_NO_AUCTIONEER: lambda a, b, g: (
-            a / 6 - b / 3 + g / 3,
-            -a / 3 + b / 6 + g / 3,
-        ),
-        _R.SHAPLEY_PAYOFF_NO_AUCTIONEER: lambda a, b, g: (
-            5 * a / 6 + b / 3 - g / 3,
-            a / 3 + 5 * b / 6 - g / 3,
-        ),
-        _R.SHAPLEY_PAYMENT_WITH_AUCTIONEER: lambda a, b, g: (
-            7 * a / 12 - b / 4 + g / 4,
-            -a / 4 + 7 * b / 12 + g / 4,
-        ),
-        _R.SHAPLEY_PAYOFF_WITH_AUCTIONEER: lambda a, b, g: (
-            5 * a / 12 + b / 4 - g / 4,
-            a / 4 + 5 * b / 12 - g / 4,
-        ),
+        _R.FIRST_PRICE: lambda a, b, g: a,
+        _R.VCG: lambda a, b, g: g - b,
+        _R.SHAPLEY_PAYMENT_NO_AUCTIONEER: lambda a, b, g: a / 6 - b / 3 + g / 3,
+        _R.SHAPLEY_PAYOFF_NO_AUCTIONEER: lambda a, b, g: 5 * a / 6 + b / 3 - g / 3,
+        _R.SHAPLEY_PAYMENT_WITH_AUCTIONEER: lambda a, b, g: 7 * a / 12 - b / 4 + g / 4,
+        _R.SHAPLEY_PAYOFF_WITH_AUCTIONEER: lambda a, b, g: 5 * a / 12 + b / 4 - g / 4,
     },
     CaseLabel.LOCAL1_STRONG: {
-        _R.FIRST_PRICE: lambda a, b, g: (a, b),
-        _R.VCG: lambda a, b, g: (g - b, 0.0),
-        _R.SHAPLEY_PAYMENT_NO_AUCTIONEER: lambda a, b, g: (g / 2 - b / 3, b / 6),
-        _R.SHAPLEY_PAYOFF_NO_AUCTIONEER: lambda a, b, g: (a + b / 3 - g / 2, 5 * b / 6),
-        _R.SHAPLEY_PAYMENT_WITH_AUCTIONEER: lambda a, b, g: (
-            a / 2 - b / 4 + g / 3,
-            7 * b / 12,
-        ),
-        _R.SHAPLEY_PAYOFF_WITH_AUCTIONEER: lambda a, b, g: (
-            a / 2 + b / 4 - g / 3,
-            5 * b / 12,
-        ),
+        _R.FIRST_PRICE: lambda a, b, g: a,
+        _R.VCG: lambda a, b, g: g - b,
+        _R.SHAPLEY_PAYMENT_NO_AUCTIONEER: lambda a, b, g: g / 2 - b / 3,
+        _R.SHAPLEY_PAYOFF_NO_AUCTIONEER: lambda a, b, g: a + b / 3 - g / 2,
+        _R.SHAPLEY_PAYMENT_WITH_AUCTIONEER: lambda a, b, g: a / 2 - b / 4 + g / 3,
+        _R.SHAPLEY_PAYOFF_WITH_AUCTIONEER: lambda a, b, g: a / 2 + b / 4 - g / 3,
     },
     CaseLabel.LOCAL2_STRONG: {
-        _R.FIRST_PRICE: lambda a, b, g: (a, b),
-        _R.VCG: lambda a, b, g: (0.0, g - a),
-        _R.SHAPLEY_PAYMENT_NO_AUCTIONEER: lambda a, b, g: (a / 6, g / 2 - a / 3),
-        _R.SHAPLEY_PAYOFF_NO_AUCTIONEER: lambda a, b, g: (5 * a / 6, a / 3 + b - g / 2),
-        _R.SHAPLEY_PAYMENT_WITH_AUCTIONEER: lambda a, b, g: (
-            7 * a / 12,
-            -a / 4 + b / 2 + g / 3,
-        ),
-        _R.SHAPLEY_PAYOFF_WITH_AUCTIONEER: lambda a, b, g: (
-            5 * a / 12,
-            a / 4 + b / 2 - g / 3,
-        ),
+        _R.FIRST_PRICE: lambda a, b, g: a,
+        _R.VCG: lambda a, b, g: 0.0,
+        _R.SHAPLEY_PAYMENT_NO_AUCTIONEER: lambda a, b, g: a / 6,
+        _R.SHAPLEY_PAYOFF_NO_AUCTIONEER: lambda a, b, g: 5 * a / 6,
+        _R.SHAPLEY_PAYMENT_WITH_AUCTIONEER: lambda a, b, g: 7 * a / 12,
+        _R.SHAPLEY_PAYOFF_WITH_AUCTIONEER: lambda a, b, g: 5 * a / 12,
     },
     CaseLabel.LOCALS_STRONG: {
-        _R.FIRST_PRICE: lambda a, b, g: (a, b),
-        _R.VCG: lambda a, b, g: (0.0, 0.0),
-        _R.SHAPLEY_PAYMENT_NO_AUCTIONEER: lambda a, b, g: (g / 6, g / 6),
-        _R.SHAPLEY_PAYOFF_NO_AUCTIONEER: lambda a, b, g: (a - g / 6, b - g / 6),
-        _R.SHAPLEY_PAYMENT_WITH_AUCTIONEER: lambda a, b, g: (
-            a / 2 + g / 12,
-            b / 2 + g / 12,
-        ),
-        _R.SHAPLEY_PAYOFF_WITH_AUCTIONEER: lambda a, b, g: (
-            a / 2 - g / 12,
-            b / 2 - g / 12,
-        ),
+        _R.FIRST_PRICE: lambda a, b, g: a,
+        _R.VCG: lambda a, b, g: 0.0,
+        _R.SHAPLEY_PAYMENT_NO_AUCTIONEER: lambda a, b, g: g / 6,
+        _R.SHAPLEY_PAYOFF_NO_AUCTIONEER: lambda a, b, g: a - g / 6,
+        _R.SHAPLEY_PAYMENT_WITH_AUCTIONEER: lambda a, b, g: a / 2 + g / 12,
+        _R.SHAPLEY_PAYOFF_WITH_AUCTIONEER: lambda a, b, g: a / 2 - g / 12,
     },
 }
+
+
+class _FormPair(NamedTuple):
+    """A case's (p1, p2) forms: bidder 1's, and bidder 1's of the mirrored case.
+
+    The locals are symmetric, so bidder 2's form in a case is bidder 1's in
+    the mirrored case (bits 0 and 1 of _case_index exchanged, as swapping
+    the bids does), read at (b, a, g).
+    """
+
+    form1: _Form
+    mirrored1: _Form
+
+    def __call__(self, a: float, b: float, g: float) -> tuple[float, float]:
+        return self.form1(a, b, g), self.mirrored1(b, a, g)
+
+
+_FORMS: dict[CaseLabel, dict[ReferenceRule, _FormPair]] = {
+    case: {
+        rule: _FormPair(form, _FORM1[_CASES[(i & 1) << 1 | i >> 1]][rule])
+        for rule, form in _FORM1[case].items()
+    }
+    for i, case in enumerate(_CASES)
+}
+
 
 # sens_1 = d p1/d a - d p2/d a of the closed forms, per case and rule.
 _WEAK_SENS = {
@@ -218,9 +217,10 @@ def _rescaled(a: float, b: float, g: float) -> tuple[int, float, float, float]:
 
 def _evaluate(form: _FormPair, a: float, b: float, g: float) -> tuple[float, float]:
     """``form(a, b, g)`` through ``_rescaled``: below the limit, the form's own value."""
+    # The hot path: call the two bidder-1 forms here, not through _FormPair.__call__.
+    form1, mirrored1 = form
     k, a, b, g = _rescaled(a, b, g)
-    p1, p2 = form(a, b, g)
-    return k * p1, k * p2
+    return k * form1(a, b, g), k * mirrored1(b, a, g)
 
 
 # Region indices of the report tables, in the order of _REPORT_REGIONS.

@@ -602,7 +602,12 @@ def _field(
 
 
 def instance_from_json(text: str) -> AuctionInstance:
-    return instance_from_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        # Raised by arrays or objects nested about a thousand deep.
+        raise ValueError("instance JSON is nested too deeply to decode") from None
+    return instance_from_dict(data)
 
 
 def instance_to_dict(instance: AuctionInstance) -> dict:

@@ -1,9 +1,14 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coreselect import (
     LlgBidProfile,
@@ -618,6 +623,165 @@ class TestCoreCheck:
         code, out, _ = run(capsys, "core-check", "--instance", str(path), "--payments", *payments)
         assert code == 1
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CORE_CHECK_TWELVE_BIDDERS_SHA256
+
+
+# 2,000 bytes of brackets: json.loads gives up on them with a RecursionError.
+NESTED_INSTANCE = "[" * 1000 + "]" * 1000
+
+
+class TestNestedInstance:
+    @pytest.mark.parametrize(
+        "command, tail", [("payments", ("--rule", "vcg")), ("core-check", ("--payments", "0"))]
+    )
+    def test_deep_nesting_is_usage_error(self, capsys, tmp_path, command, tail):
+        path = tmp_path / "nested.json"
+        path.write_text(NESTED_INSTANCE)
+        code, out, err = run(capsys, command, "--instance", str(path), *tail)
+        assert (code, out) == (2, "")
+        assert err == "error: instance JSON is nested too deeply to decode\n"
+
+
+def run_captured(argv):
+    """``main(argv)``'s exit code, stdout and stderr, without pytest's capture fixtures."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_NUMBER = r"-?\d+\.\d{6}"
+_CASE = "case=(locals_weak|local1_strong|local2_strong|locals_strong|global_winner)"
+# Each command's stdout on exit 0; core-check prints JSON instead.
+_LINE_FORMATS = {
+    "payments": re.compile(rf"(({_CASE} )?p1={_NUMBER}( p\d+={_NUMBER})*)?\n"),
+    "project": re.compile(rf"{_CASE} p1={_NUMBER} p2={_NUMBER} p3={_NUMBER}\n"),
+    "sensitivity": re.compile(rf"{_CASE} sens1={_NUMBER} sens2={_NUMBER}\n"),
+    "derivative": re.compile(
+        rf"{_CASE} region=(ir1_binding|ir2_binding|nonneg_binding|interior)"
+        rf" d={_NUMBER} numeric=({_NUMBER}|n/a) sens={_NUMBER}( boundary=1)?\n"
+    ),
+}
+
+
+def assert_clean_exit(argv):
+    """Exit 0, 1 or 2, only ``error:`` lines on stderr, stdout in the command's format."""
+    code, out, err = run_captured(argv)
+    command = argv[0]
+    if command == "core-check":
+        assert code in (0, 1, 2), (argv, code)
+        if code != 2:
+            violations = json.loads(out)
+            assert isinstance(violations, list) and bool(violations) == (code == 1), out
+    else:
+        assert code in (0, 2), (argv, code)
+        if code == 0:
+            assert _LINE_FORMATS[command].fullmatch(out), (argv, out)
+    if code == 2:
+        assert out == "", (argv, out)
+        assert err.startswith("error: "), (argv, err)
+    assert all(line.startswith("error: ") for line in err.splitlines()), (argv, err)
+
+
+# Integers past the largest float, below Python's int-to-str digit limit.
+_HUGE_INTS = st.integers(min_value=10**300, max_value=10**400)
+# Any JSON value, with huge integers and the NaN and infinity literals that
+# json.dumps writes and json.loads reads.
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | _HUGE_INTS
+    | st.floats()
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+# Bids and payments at the edges of the floats: NaN, infinities, -0.0,
+# subnormals and near overflow, besides any float.
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2e-308, 1.0]),
+    st.floats(min_value=1e300, max_value=1.7976931348623157e308),
+    st.floats(),
+)
+_RULES = st.sampled_from([rule.value for rule in ReferenceRule])
+_BID_VALUES = st.one_of(st.floats(0, 2), st.integers(0, 2), _EDGE_FLOATS, _HUGE_INTS)
+
+
+# Hypothesis draws the ends of an integer range far more often than the
+# middle, so a sampled list sets the odds.
+_ONE_IN_EIGHT = st.sampled_from([False] * 7 + [True])
+
+
+@st.composite
+def _instance_files(draw):
+    """An instance file's text and its number of bidders.
+
+    Every field is well formed, save that one time in eight it is any JSON value.
+    """
+
+    def field(make):
+        return draw(_JSON) if draw(_ONE_IN_EIGHT) else make()
+
+    goods = ["g1", "g2", "g3"]
+    bundles = st.lists(st.sampled_from(goods), min_size=1, max_size=3, unique=True)
+
+    def bid():
+        return {"bundle": field(lambda: draw(bundles)), "value": field(lambda: draw(_BID_VALUES))}
+
+    def bids():
+        return [field(bid) for _ in range(draw(st.integers(0, 3)))]
+
+    def bidder(i):
+        return {"id": field(lambda: i), "bids": field(bids)}
+
+    n = draw(st.integers(0, 4))
+    doc = field(
+        lambda: {
+            "goods": field(lambda: goods),
+            "bidders": field(lambda: [field(lambda: bidder(i)) for i in range(1, n + 1)]),
+        }
+    )
+    return json.dumps(doc), n
+
+
+class TestInputBoundary:
+    """Whatever the input, the CLI exits 0, 1 or 2 and never with a traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        file=_instance_files(),
+        rule=_RULES,
+        payments=st.lists(st.floats(0, 2), min_size=4, max_size=4),
+    )
+    @example(file=(NESTED_INSTANCE, 1), rule="vcg", payments=[0.0] * 4)
+    # Hypothesis lifts the recursion limit about 2,000 frames above a test
+    # while it runs one, so the file above decodes there and this one does not.
+    @example(file=("[" * 10**5 + "]" * 10**5, 1), rule="vcg", payments=[0.0] * 4)
+    def test_instance_files(self, tmp_path_factory, file, rule, payments):
+        text, bidders = file
+        path = tmp_path_factory.getbasetemp() / "fuzzed_instance.json"
+        path.write_text(text)
+        assert_clean_exit(["payments", "--instance", str(path), "--rule", rule])
+        # One payment per bidder where the bidders are well formed.
+        payments = map(repr, payments[: max(bidders, 1)])
+        assert_clean_exit(["core-check", "--instance", str(path), "--payments", *payments])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        bids=st.lists(_EDGE_FLOATS, min_size=3, max_size=3),
+        rule=_RULES,
+        extra=st.lists(_EDGE_FLOATS, min_size=3, max_size=3),
+    )
+    def test_llg_arguments(self, bids, rule, extra):
+        llg = ["--llg", *map(repr, bids)]
+        for command in ("payments", "project", "sensitivity", "derivative"):
+            assert_clean_exit([command, *llg, "--rule", rule])
+        assert_clean_exit(["derivative", *llg, "--rule", rule, "--step", repr(extra[0])])
+        assert_clean_exit(["project", *llg, "--rule", rule, "--metric", repr(extra[0])])
+        assert_clean_exit(["core-check", *llg, "--payments", *map(repr, extra)])
 
 
 # Full stdout of `verify-table --seed 7 --samples 60` with both tolerances set

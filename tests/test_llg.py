@@ -205,7 +205,10 @@ ADJACENT_CASES = [
 
 
 class TestExactTables:
-    """The hand-entered ``_FORMS`` and ``_SENSITIVITY`` checked in exact rationals."""
+    """``_FORMS`` and ``_SENSITIVITY`` checked in exact rationals.
+
+    ``_FORMS`` is built from bidder 1's hand-entered forms by the mirror rule.
+    """
 
     @pytest.mark.parametrize("case", list(CaseLabel))
     @pytest.mark.parametrize("rule", list(R))
@@ -350,6 +353,16 @@ ENGINE_TOLERANCE = 1e-12
 BOUNDARY_PLANES = ["a = g", "b = g", "a + b = g"]
 BOUNDARY_GS = [Fraction(3, 4), Fraction(1), Fraction(1000, 7), Fraction(1, 3 * 10**9)]
 
+# Per case, (a, b) as multiples of g strictly inside it, with a != b so a
+# swapped pair of bids shows.
+_F = Fraction
+INTERIOR_POINTS = {
+    CaseLabel.LOCALS_WEAK: [(_F(2, 3), _F(3, 5)), (_F(5, 7), _F(1, 2)), (_F(1, 4), _F(9, 10))],
+    CaseLabel.LOCAL1_STRONG: [(_F(4, 3), _F(1, 5)), (_F(7, 5), _F(2, 3)), (_F(11, 10), _F(9, 10))],
+    CaseLabel.LOCAL2_STRONG: [(_F(1, 5), _F(4, 3)), (_F(3, 4), _F(8, 5)), (_F(9, 10), _F(11, 10))],
+    CaseLabel.LOCALS_STRONG: [(_F(4, 3), _F(6, 5)), (_F(3, 2), _F(7, 4)), (_F(19, 10), _F(11, 10))],
+}
+
 
 class TestExactEngineOracle:
     """The closed forms and the float engine against the LLG game in exact rationals."""
@@ -359,6 +372,17 @@ class TestExactEngineOracle:
     def test_closed_forms_are_exact_on_the_boundaries(self, plane, g):
         for a, b in _boundary_points(plane, g):
             profile = LlgBidProfile(a, b, g)
+            for rule in R:
+                exact = llg_exact_reference(a, b, g, rule)
+                assert closed_form_reference(profile, rule) == exact[:2], (profile, rule)
+
+    @pytest.mark.parametrize("case", list(CaseLabel))
+    @pytest.mark.parametrize("g", BOUNDARY_GS)
+    def test_closed_forms_are_exact_inside_each_case(self, case, g):
+        for ta, tb in INTERIOR_POINTS[case]:
+            a, b = ta * g, tb * g
+            profile = LlgBidProfile(a, b, g)
+            assert a + b > g and g not in (a, b) and classify_case(profile) is case, (a, b, g)
             for rule in R:
                 exact = llg_exact_reference(a, b, g, rule)
                 assert closed_form_reference(profile, rule) == exact[:2], (profile, rule)
