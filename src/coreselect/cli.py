@@ -8,6 +8,7 @@ check fails, 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from types import SimpleNamespace
@@ -125,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("core-check", help="check a payment vector against the core constraints")
     add_llg_or_instance(p)
     p.add_argument(
-        "--payments", nargs="+", type=float, required=True, help="one payment per bidder"
+        "--payments", nargs="*", type=float, required=True, help="one payment per bidder"
     )
 
     # Every subcommand writes through _write, which reads --out; declared
@@ -256,10 +257,14 @@ def render_region_map_svg(grid: RegionMap) -> str:
 
 def _cmd_region_map(args: argparse.Namespace) -> int:
     grid = region_map(ReferenceRule(args.rule), g=args.g, resolution=args.resolution)
-    _write(args, region_map_to_csv(grid))
-    if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as handle:
-            handle.write(render_region_map_svg(grid))
+    # Opened first, so an SVG path that cannot be opened fails before any
+    # output; the SVG is still rendered after the CSV text is freed.
+    with open(args.svg, "w", encoding="utf-8") if args.svg else contextlib.nullcontext() as svg:
+        _write(args, region_map_to_csv(grid))
+        if svg is not None:
+            svg.write(render_region_map_svg(grid))
+            # Where --out is the same file, cut the CSV bytes past the SVG.
+            svg.truncate()
     return 0
 
 

@@ -97,6 +97,13 @@ def _case_index(a: float, b: float, g: float) -> int:
     return (a > g) + 2 * (b > g)
 
 
+def _position(case: CaseLabel) -> int:
+    """Position of a given case in _CASES; a case that is not a CaseLabel is a ValueError."""
+    if not isinstance(case, CaseLabel):
+        raise ValueError(f"case must be a CaseLabel, got {case!r}")
+    return _CASES.index(case)
+
+
 def classify_case(profile: LlgBidProfile) -> CaseLabel:
     """Relative strength of the local bids, ties counted as weak."""
     return _CASES[_case_index(profile.a, profile.b, profile.g)]
@@ -106,7 +113,7 @@ _R = ReferenceRule
 
 _Form = Callable[[float, float, float], float]
 
-# Bidder 1's closed form per case and rule, each written once; _FORMS adds
+# Bidder 1's closed form per case and rule, each written once; _TABLE adds
 # bidder 2's by the mirror rule.
 _FORM1: dict[CaseLabel, dict[ReferenceRule, _Form]] = {
     CaseLabel.LOCALS_WEAK: {
@@ -144,53 +151,15 @@ _FORM1: dict[CaseLabel, dict[ReferenceRule, _Form]] = {
 }
 
 
-class _FormPair(NamedTuple):
-    """A case's (p1, p2) forms: bidder 1's, and bidder 1's of the mirrored case.
-
-    The locals are symmetric, so bidder 2's form in a case is bidder 1's in
-    the mirrored case (bits 0 and 1 of _case_index exchanged, as swapping
-    the bids does), read at (b, a, g).
-    """
-
-    form1: _Form
-    mirrored1: _Form
-
-    def __call__(self, a: float, b: float, g: float) -> tuple[float, float]:
-        return self.form1(a, b, g), self.mirrored1(b, a, g)
-
-
-_FORMS: dict[CaseLabel, dict[ReferenceRule, _FormPair]] = {
-    case: {
-        rule: _FormPair(form, _FORM1[_CASES[(i & 1) << 1 | i >> 1]][rule])
-        for rule, form in _FORM1[case].items()
-    }
-    for i, case in enumerate(_CASES)
-}
-
-
-# sens_1 = d p1/d a - d p2/d a of the closed forms, per case and rule.
-_WEAK_SENS = {
-    _R.FIRST_PRICE: Fraction(1),
-    _R.VCG: Fraction(1),
-    _R.SHAPLEY_PAYMENT_NO_AUCTIONEER: Fraction(1, 2),
-    _R.SHAPLEY_PAYOFF_NO_AUCTIONEER: Fraction(1, 2),
-    _R.SHAPLEY_PAYMENT_WITH_AUCTIONEER: Fraction(5, 6),
-    _R.SHAPLEY_PAYOFF_WITH_AUCTIONEER: Fraction(1, 6),
-}
-_STRONG1_SENS = {
-    _R.FIRST_PRICE: Fraction(1),
-    _R.VCG: Fraction(0),
-    _R.SHAPLEY_PAYMENT_NO_AUCTIONEER: Fraction(0),
-    _R.SHAPLEY_PAYOFF_NO_AUCTIONEER: Fraction(1),
-    _R.SHAPLEY_PAYMENT_WITH_AUCTIONEER: Fraction(1, 2),
-    _R.SHAPLEY_PAYOFF_WITH_AUCTIONEER: Fraction(1, 2),
-}
-
-_SENSITIVITY: dict[CaseLabel, dict[ReferenceRule, Fraction]] = {
-    CaseLabel.LOCALS_WEAK: _WEAK_SENS,
-    CaseLabel.LOCAL1_STRONG: _STRONG1_SENS,
-    CaseLabel.LOCAL2_STRONG: _WEAK_SENS,
-    CaseLabel.LOCALS_STRONG: _STRONG1_SENS,
+# sens_1 = d p1/d a - d p2/d a of the closed forms, per rule, as the pair
+# (a <= g, a > g): it depends only on bit 0 of _case_index.
+_SENSITIVITY1: dict[ReferenceRule, tuple[Fraction, Fraction]] = {
+    _R.FIRST_PRICE: (Fraction(1), Fraction(1)),
+    _R.VCG: (Fraction(1), Fraction(0)),
+    _R.SHAPLEY_PAYMENT_NO_AUCTIONEER: (Fraction(1, 2), Fraction(0)),
+    _R.SHAPLEY_PAYOFF_NO_AUCTIONEER: (Fraction(1, 2), Fraction(1)),
+    _R.SHAPLEY_PAYMENT_WITH_AUCTIONEER: (Fraction(5, 6), Fraction(1, 2)),
+    _R.SHAPLEY_PAYOFF_WITH_AUCTIONEER: (Fraction(1, 6), Fraction(1, 2)),
 }
 
 
@@ -215,40 +184,54 @@ def _rescaled(a: float, b: float, g: float) -> tuple[int, float, float, float]:
     return 8, a / 8, b / 8, g / 8
 
 
-def _evaluate(form: _FormPair, a: float, b: float, g: float) -> tuple[float, float]:
-    """``form(a, b, g)`` through ``_rescaled``: below the limit, the form's own value."""
-    # The hot path: call the two bidder-1 forms here, not through _FormPair.__call__.
-    form1, mirrored1 = form
-    k, a, b, g = _rescaled(a, b, g)
-    return k * form1(a, b, g), k * mirrored1(b, a, g)
-
-
 # Region indices of the report tables, in the order of _REPORT_REGIONS.
 _IR1, _IR2, _NONNEG, _INTERIOR = range(4)
 _REPORT_REGIONS = (Region.IR1_BINDING, Region.IR2_BINDING, Region.NONNEG_BINDING, Region.INTERIOR)
 
 
-def _case_entry(case: CaseLabel, rule: ReferenceRule) -> tuple:
-    """(closed form, reports indexed [region][boundary]) of one case and rule."""
-    sens = float(_SENSITIVITY[case][rule])
-    derivatives = (1.0, 0.0, 0.0, sens / 2)
-    reports = tuple(
-        (
-            DerivativeReport(case, region, derivative, sens, False),
-            DerivativeReport(case, region, derivative, sens, True),
+class _CaseEntry(NamedTuple):
+    """Everything the accessors read for one case and rule.
+
+    The locals are symmetric, so bidder 2's form in a case is bidder 1's in
+    the mirrored case (bits 0 and 1 of _case_index exchanged, as swapping
+    the bids does), read at (b, a, g). ``reports`` are the shared
+    ``DerivativeReport``s, indexed [region][boundary].
+    """
+
+    form1: _Form
+    mirrored1: _Form
+    sensitivity: Fraction
+    reports: tuple[tuple[DerivativeReport, DerivativeReport], ...]
+
+
+def _case_entries(rule: ReferenceRule) -> tuple[_CaseEntry, ...]:
+    """One rule's _CaseEntry per case, in _CASES order."""
+    entries = []
+    for i, case in enumerate(_CASES):
+        exact = _SENSITIVITY1[rule][i & 1]
+        sens = float(exact)
+        reports = tuple(
+            (
+                DerivativeReport(case, region, derivative, sens, False),
+                DerivativeReport(case, region, derivative, sens, True),
+            )
+            for region, derivative in zip(_REPORT_REGIONS, (1.0, 0.0, 0.0, sens / 2))
         )
-        for region, derivative in zip(_REPORT_REGIONS, derivatives)
-    )
-    return _FORMS[case][rule], reports
+        mirrored1 = _FORM1[_CASES[(i & 1) << 1 | i >> 1]][rule]
+        entries.append(_CaseEntry(_FORM1[case][rule], mirrored1, exact, reports))
+    return tuple(entries)
 
 
-# The lookup for callers that find the case from the bids: per rule, one
-# _case_entry per case in _CASES order. Callers that name the case read
-# _FORMS and _SENSITIVITY. Keyed by id(rule) and indexed by case position,
-# since members are singletons and Enum.__hash__ runs in Python.
-_BY_RULE = {
-    id(rule): tuple(_case_entry(case, rule) for case in _CASES) for rule in ReferenceRule
-}
+# The one lookup of every accessor: keyed by id(rule), since members are
+# singletons and Enum.__hash__ runs in Python, and indexed by case position.
+_TABLE = {id(rule): _case_entries(rule) for rule in ReferenceRule}
+
+
+def _evaluate(entry: _CaseEntry, a: float, b: float, g: float) -> tuple[float, float]:
+    """The entry's (p1, p2) at (a, b, g), through ``_rescaled``."""
+    form1, mirrored1, _, _ = entry
+    k, a, b, g = _rescaled(a, b, g)
+    return k * form1(a, b, g), k * mirrored1(b, a, g)
 
 
 def closed_form_for_case(
@@ -258,7 +241,7 @@ def closed_form_for_case(
 
     Useful for checking continuity across case boundaries.
     """
-    return _evaluate(_FORMS[case][rule], profile.a, profile.b, profile.g)
+    return _evaluate(_TABLE[id(rule)][_position(case)], profile.a, profile.b, profile.g)
 
 
 def closed_form_reference(profile: LlgBidProfile, rule: ReferenceRule) -> tuple[float, float]:
@@ -268,13 +251,12 @@ def closed_form_reference(profile: LlgBidProfile, rule: ReferenceRule) -> tuple[
     profiles where the locals jointly win.
     """
     a, b, g = profile.a, profile.b, profile.g
-    form, _ = _BY_RULE[id(rule)][_case_index(a, b, g)]
-    return _evaluate(form, a, b, g)
+    return _evaluate(_TABLE[id(rule)][_case_index(a, b, g)], a, b, g)
 
 
 def sensitivity_fraction(case: CaseLabel, rule: ReferenceRule) -> Fraction:
     """Exact sensitivity of the rule's local components in the given case."""
-    return _SENSITIVITY[case][rule]
+    return _TABLE[id(rule)][_position(case)].sensitivity
 
 
 def sensitivity(profile: LlgBidProfile, rule: ReferenceRule) -> float:
@@ -321,8 +303,8 @@ def projection_derivative(profile: LlgBidProfile, rule: ReferenceRule) -> Deriva
     if not profile.locals_win():
         raise _global_winner_error(profile)
     a, b, g = profile.a, profile.b, profile.g
-    form, reports = _BY_RULE[id(rule)][_case_index(a, b, g)]
-    split = even_split(g, *_evaluate(form, a, b, g))
+    entry = _TABLE[id(rule)][_case_index(a, b, g)]
+    split = even_split(g, *_evaluate(entry, a, b, g))
     lo, hi = llg_segment_ends(a, b, g)
     tol = BOUNDARY_TOLERANCE * g
     boundary = abs(split - lo) <= tol or abs(split - hi) <= tol
@@ -333,7 +315,7 @@ def projection_derivative(profile: LlgBidProfile, rule: ReferenceRule) -> Deriva
     else:
         region = _INTERIOR
     # Reports are shared: every call with the same outcome returns the same object.
-    return reports[region][boundary]
+    return entry.reports[region][boundary]
 
 
 def numeric_derivative(
@@ -416,13 +398,13 @@ def _row_bands(rule: ReferenceRule, a: float, g: float, top: float) -> list[tupl
     """
     guard = _SPAN_GUARD * g + _SPAN_FLOOR
     tol = BOUNDARY_TOLERANCE * g
-    entries = _BY_RULE[id(rule)]
+    entries = _TABLE[id(rule)]
     bands = [(g - a - TIE_TOLERANCE * g, guard), (g, guard)]
     # Pieces b <= g and b > g, in the case of their right end q.
     for p, q in ((0.0, g), (g, top)):
-        form = entries[_case_index(a, q, g)][0]
-        split_p = even_split(g, *_evaluate(form, a, p, g))
-        slope = (even_split(g, *_evaluate(form, a, q, g)) - split_p) / (q - p)
+        entry = entries[_case_index(a, q, g)]
+        split_p = even_split(g, *_evaluate(entry, a, p, g))
+        slope = (even_split(g, *_evaluate(entry, a, q, g)) - split_p) / (q - p)
         for end_p, end_q in zip(llg_segment_ends(a, p, g), llg_segment_ends(a, q, g)):
             value, d = split_p - end_p, slope - (end_q - end_p) / (q - p)
             for t in (-tol, tol):
@@ -522,9 +504,7 @@ def sample_llg_profile(
     inside that edge almost no pair passes, so after ``MAX_DRAWS`` rejected
     pairs the sampler gives up with a ``ValueError`` too.
     """
-    if not isinstance(case, CaseLabel):
-        raise ValueError(f"case must be a CaseLabel, got {case!r}")
-    position = _CASES.index(case)
+    position = _position(case)
     # a + b > g means a + b is at least the float above g, and each strong
     # local is at least that float too; rounding is monotone, so a + b + g is
     # at least least_sum.

@@ -451,6 +451,29 @@ class TestRegionMapBytes:
         # One rect per report cell: the all-None row and the None cell draw none.
         assert text.count("<rect") == 1 + 11
 
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_svg_path_that_cannot_be_opened_fails_before_any_output(
+        self, capsys, tmp_path, to_file
+    ):
+        csv_path = tmp_path / "map.csv"
+        out = ["--out", str(csv_path)] if to_file else []
+        svg_path = tmp_path / "missing" / "map.svg"
+        code, stdout, err = run(
+            capsys, "region-map", "--rule", "vcg", "--resolution", "3", *out, "--svg", str(svg_path)
+        )
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        assert not csv_path.exists()
+
+    def test_svg_to_the_out_file_leaves_only_the_svg(self, capsys, tmp_path):
+        # At resolution 40 the CSV is longer than the SVG, so no CSV byte may
+        # be left past the SVG's end.
+        path = tmp_path / "map"
+        argv = ("region-map", "--rule", "vcg", "--resolution", "40", "--out", str(path))
+        assert run(capsys, *argv, "--svg", str(path)) == (0, "", "")
+        svg = path.read_text(encoding="utf-8")
+        assert svg == render_region_map_svg(region_map(ReferenceRule.VCG, 1.0, 40))
+
     @pytest.mark.parametrize("g", ["inf", "nan", "1e308", "0", "-1"])
     def test_bad_global_bid_is_usage_error(self, capsys, g):
         code, out, err = run(capsys, "region-map", "--rule", "vcg", "--g", g, "--resolution", "5")
@@ -581,6 +604,18 @@ class TestCoreCheck:
         )
         assert code == 2
         assert "error" in err
+
+    def test_no_payments_for_three_bidders(self, capsys):
+        code, out, err = run(capsys, "core-check", "--llg", "0.4", "0.5", "0.8", "--payments")
+        assert (code, out) == (2, "")
+        assert err == "error: payment vector has 0 entries, expected 3\n"
+
+    def test_instance_without_bidders(self, capsys, tmp_path):
+        # Its empty payment vector is a bare --payments.
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"goods": ["g1", "g2"], "bidders": []}))
+        code, out, err = run(capsys, "core-check", "--instance", str(path), "--payments")
+        assert (code, out, err) == (0, "[]\n", "")
 
     @pytest.mark.parametrize(
         "payments, bidder",
@@ -766,7 +801,7 @@ class TestInputBoundary:
         path.write_text(text)
         assert_clean_exit(["payments", "--instance", str(path), "--rule", rule])
         # One payment per bidder where the bidders are well formed.
-        payments = map(repr, payments[: max(bidders, 1)])
+        payments = map(repr, payments[:bidders])
         assert_clean_exit(["core-check", "--instance", str(path), "--payments", *payments])
 
     @settings(max_examples=150, deadline=None)

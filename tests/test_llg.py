@@ -31,8 +31,6 @@ from coreselect import (
     sensitivity_fraction,
 )
 from coreselect.llg import (
-    _FORMS,
-    _SENSITIVITY,
     MAX_DRAWS,
     THRESHOLD_TABLE,
     _threshold_holds,
@@ -139,6 +137,12 @@ class TestClosedForms:
             assert grown[0] == pytest.approx(scale * base[0], rel=1e-9, abs=1e-9)
             assert grown[1] == pytest.approx(scale * base[1], rel=1e-9, abs=1e-9)
 
+    @pytest.mark.parametrize("case", ["locals_weak", None, 0])
+    def test_case_must_be_a_label(self, case):
+        profile = LlgBidProfile(0.4, 0.5, 0.8)
+        with pytest.raises(ValueError, match=rf"case must be a CaseLabel, got {case!r}"):
+            closed_form_for_case(case, profile, R.VCG)
+
 
 class TestSensitivity:
     @pytest.mark.parametrize(
@@ -179,11 +183,21 @@ class TestSensitivity:
                     float(sensitivity_fraction(case, rule)), abs=1e-6
                 )
 
+    @pytest.mark.parametrize("case", ["locals_weak", None, 0])
+    def test_case_must_be_a_label(self, case):
+        with pytest.raises(ValueError, match=rf"case must be a CaseLabel, got {case!r}"):
+            sensitivity_fraction(case, R.VCG)
+
 
 def _exact(value):
     """A form's output as a Fraction: Fraction arithmetic, or a float constant 0.0."""
     assert isinstance(value, Fraction) or value == 0.0, value
     return Fraction(value)
+
+
+def _form(case, rule):
+    """The case's (p1, p2) forms as ``closed_form_for_case`` evaluates them."""
+    return lambda a, b, g: closed_form_for_case(case, LlgBidProfile(a, b, g), rule)
 
 
 def _coefficients(form):
@@ -205,15 +219,15 @@ ADJACENT_CASES = [
 
 
 class TestExactTables:
-    """``_FORMS`` and ``_SENSITIVITY`` checked in exact rationals.
+    """``closed_form_for_case`` and ``sensitivity_fraction`` checked in exact rationals.
 
-    ``_FORMS`` is built from bidder 1's hand-entered forms by the mirror rule.
+    Bidder 2's forms come from bidder 1's hand-entered forms by the mirror rule.
     """
 
     @pytest.mark.parametrize("case", list(CaseLabel))
     @pytest.mark.parametrize("rule", list(R))
     def test_forms_are_linear(self, case, rule):
-        form = _FORMS[case][rule]
+        form = _form(case, rule)
         point = (Fraction(7, 5), Fraction(2, 3), Fraction(11, 13))
         expected = tuple(
             sum(c * x for c, x in zip(row, point)) for row in _coefficients(form)
@@ -227,13 +241,13 @@ class TestExactTables:
         # means agreeing on all of it.
         for point in points:
             bids = [Fraction(x, 7) for x in point]
-            assert _FORMS[left][rule](*bids) == _FORMS[right][rule](*bids), point
+            assert _form(left, rule)(*bids) == _form(right, rule)(*bids), point
 
     @pytest.mark.parametrize("case", list(CaseLabel))
     @pytest.mark.parametrize("rule", list(R))
     def test_sensitivity_is_the_forms_slope(self, case, rule):
-        (da1, _, _), (da2, _, _) = _coefficients(_FORMS[case][rule])
-        assert _SENSITIVITY[case][rule] == da1 - da2
+        (da1, _, _), (da2, _, _) = _coefficients(_form(case, rule))
+        assert sensitivity_fraction(case, rule) == da1 - da2
 
 
 # Each case at g = 1: the vertices, in order, of its closure within the bid
@@ -257,7 +271,7 @@ def _derived_form(cell):
     Read off the case's closed forms p1 and p2: the first inequality is
     p1 - p2 + g - 2a > 0, the second p2 - p1 + g - 2b > 0.
     """
-    (a1, b1, g1), (a2, b2, g2) = _coefficients(_FORMS[cell.case][cell.rule])
+    (a1, b1, g1), (a2, b2, g2) = _coefficients(_form(cell.case, cell.rule))
     if cell.inequality == 1:
         return a1 - a2 - 2, b1 - b2, g1 - g2 + 1
     return a2 - a1, b2 - b1 - 2, g2 - g1 + 1
@@ -279,7 +293,7 @@ SIMPLIFIED_CELLS = [cell for cell in THRESHOLD_TABLE if cell.simplified is not N
 
 
 class TestExactThresholds:
-    """``THRESHOLD_TABLE`` against the inequalities its ``_FORMS`` give, in rationals at g = 1."""
+    """``THRESHOLD_TABLE`` against the inequalities its closed forms give, in rationals at g = 1."""
 
     @pytest.mark.parametrize("cell", EXACT_CELLS, ids=_cell_id)
     def test_exact_cell_is_the_derived_inequality(self, cell):
