@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import compress, groupby
 from operator import is_not
 from typing import Callable, NamedTuple
 
@@ -633,34 +633,31 @@ class ThresholdCheck:
 def check_threshold_table(
     samples_per_case: int, seed: int, g: float = 1.0
 ) -> list[ThresholdCheck]:
-    """Compare every threshold cell against direct evaluation on sampled profiles."""
+    """Compare every threshold cell against direct evaluation on sampled profiles.
+
+    The profiles are drawn case by case, ``samples_per_case`` each, and each
+    profile's two inequalities are evaluated once per rule. A cell's exact
+    form is tallied apart from its stated form only where the two differ
+    (the simplified cells); each example is the first mismatch in draw order.
+    """
     rng = random.Random(seed)
     profiles = {
         case: [sample_llg_profile(rng, case, g) for _ in range(samples_per_case)]
         for case in CaseLabel
     }
+
+    def mismatches(form: _Threshold, sampled: list[LlgBidProfile], direct: list[bool]):
+        return [p for p, holds in zip(sampled, direct) if _threshold_holds(form, p) != holds]
+
     results = []
-    for cell in THRESHOLD_TABLE:
-        stated_mismatches = exact_mismatches = 0
-        stated_example = exact_example = None
-        for profile in profiles[cell.case]:
-            direct = region_inequalities(profile, cell.rule)[cell.inequality - 1]
-            stated = _threshold_holds(cell.stated, profile)
-            exact = _threshold_holds(cell.exact, profile)
-            if direct != stated:
-                stated_mismatches += 1
-                stated_example = stated_example or profile
-            if direct != exact:
-                exact_mismatches += 1
-                exact_example = exact_example or profile
-        results.append(
-            ThresholdCheck(
-                cell,
-                len(profiles[cell.case]),
-                stated_mismatches,
-                exact_mismatches,
-                stated_example,
-                exact_example,
-            )
-        )
+    # THRESHOLD_TABLE lists each rule's cells case by case, so a group is one (rule, case).
+    for (rule, case), cells in groupby(THRESHOLD_TABLE, lambda cell: (cell.rule, cell.case)):
+        sampled = profiles[case]
+        pairs = [region_inequalities(profile, rule) for profile in sampled]
+        for cell in cells:
+            direct = [pair[cell.inequality - 1] for pair in pairs]
+            stated = mismatches(cell.stated, sampled, direct)
+            exact = stated if cell.simplified is None else mismatches(cell.exact, sampled, direct)
+            examples = (stated[0] if stated else None, exact[0] if exact else None)
+            results.append(ThresholdCheck(cell, len(sampled), len(stated), len(exact), *examples))
     return results

@@ -4,7 +4,9 @@ import hashlib
 import io
 import json
 import math
+import pathlib
 import re
+import shlex
 
 import pytest
 from hypothesis import example, given, settings
@@ -1033,3 +1035,43 @@ class TestVerifyTable:
         assert "region threshold table: 16/16 cells passed\n" in out
         assert "minimum-revenue projection: 200/200 checks passed\n" in out
         assert out == VERIFY_TABLE_FAILURE_SEED_7_SAMPLES_60
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_examples():
+    """Each ``$ coreselect ...`` line in README's ``text`` blocks, with the lines after it."""
+    examples = []
+    for block in re.findall(r"^```text\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S):
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, _, output = chunk.partition("\n")
+            examples.append((command, output.rstrip("\n") + "\n"))
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+class TestReadmeExamples:
+    def test_every_example_is_found(self):
+        assert [command.split()[:2] for command, _ in README_EXAMPLES] == [
+            ["coreselect", "payments"],
+            ["coreselect", "project"],
+            ["coreselect", "derivative"],
+            ["coreselect", "core-check"],
+            ["coreselect", "verify-table"],
+        ]
+
+    @pytest.mark.parametrize(
+        "command,expected", README_EXAMPLES, ids=[command for command, _ in README_EXAMPLES]
+    )
+    def test_example_prints_what_readme_shows(self, capsys, command, expected):
+        argv = shlex.split(command)[1:]
+        if argv == ["verify-table", "--seed", "7", "--samples", "1000"]:
+            # TestVerifyTable::test_full_run_output_digest already runs it (about
+            # 1 s) and pins its stdout, so the example is checked by digest.
+            assert hashlib.sha256(expected.encode()).hexdigest() == VERIFY_TABLE_SEED_7_SHA256
+            return
+        _, out, _ = run(capsys, *argv)
+        assert out == expected

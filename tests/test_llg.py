@@ -30,6 +30,7 @@ from coreselect import (
     sensitivity2,
     sensitivity_fraction,
 )
+import coreselect.llg
 from coreselect.llg import (
     MAX_DRAWS,
     THRESHOLD_TABLE,
@@ -850,6 +851,22 @@ class TestThresholdTable:
         for check in check_threshold_table(samples_per_case=500, seed=47):
             if not check.cell.note:
                 assert check.stated_mismatches == 0, check.cell
+
+    def test_each_profile_is_evaluated_once_per_rule(self, monkeypatch):
+        # Each (rule, case) evaluates its 25 profiles' inequalities once: 8 x 25.
+        # Each cell tallies its stated form, and only the 2 simplified cells
+        # tally their exact form apart: (16 + 2) x 25 threshold calls.
+        expected = check_threshold_table(samples_per_case=25, seed=5)
+        calls = {"region_inequalities": 0, "_threshold_holds": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _original=getattr(coreselect.llg, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(coreselect.llg, name, counted)
+        assert check_threshold_table(samples_per_case=25, seed=5) == expected
+        assert calls == {"region_inequalities": 8 * 25, "_threshold_holds": 18 * 25}
 
     @pytest.mark.parametrize("g", [5.3e307, 1e308 / 3, 2.0**1020])
     def test_exact_conditions_match_near_overflow(self, g):
