@@ -3,6 +3,12 @@
 Subcommands: payments, project, sensitivity, derivative, region-map,
 verify-table, core-check. Exit codes: 0 on success, 1 when a verification
 check fails, 2 on usage or input errors.
+
+Each subparser carries its handler as ``args.run``. ``main`` reads each
+input once: it turns ``--rule`` into a ``ReferenceRule`` and ``--llg`` into
+an ``LlgBidProfile`` before it dispatches, inside the same ``try`` that
+turns input errors into exit code 2, so the handlers get a rule and a
+profile.
 """
 
 from __future__ import annotations
@@ -77,53 +83,55 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
-    def add_llg(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--llg",
-            nargs=3,
-            type=float,
-            metavar=("A", "B", "G"),
-            required=True,
-            help="LLG shorthand: local bid 1, local bid 2, global bundle bid",
-        )
+    def add_llg(target, **kwargs) -> None:
+        # target is a subparser, or the --llg/--instance group of one.
+        target.add_argument("--llg", nargs=3, type=float, metavar=("A", "B", "G"), **kwargs)
 
     def add_llg_or_instance(p: argparse.ArgumentParser) -> None:
         group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--llg", nargs=3, type=float, metavar=("A", "B", "G"))
+        add_llg(group)
         group.add_argument("--instance", help="path to an instance JSON file")
 
     def add_rule(p: argparse.ArgumentParser) -> None:
         p.add_argument("--rule", choices=_RULE_CHOICES, required=True, help="reference rule")
 
+    def add_llg_and_rule(p: argparse.ArgumentParser) -> None:
+        add_llg(p, required=True, help="LLG shorthand: local bid 1, local bid 2, global bundle bid")
+        add_rule(p)
+
     p = sub.add_parser("payments", help="reference payment/payoff vector for a profile")
+    p.set_defaults(run=_cmd_payments)
     add_llg_or_instance(p)
     add_rule(p)
 
     p = sub.add_parser("project", help="minimum-revenue core-selecting payment")
-    add_llg(p)
-    add_rule(p)
+    p.set_defaults(run=_cmd_project)
+    add_llg_and_rule(p)
     p.add_argument("--metric", type=float, default=2.0, help="L_c metric exponent, c > 1")
 
     p = sub.add_parser("sensitivity", help="sensitivities of the reference rule to both local bids")
-    add_llg(p)
-    add_rule(p)
+    p.set_defaults(run=_cmd_sensitivity)
+    add_llg_and_rule(p)
 
     p = sub.add_parser("derivative", help="projected-payment derivative with numeric cross-check")
-    add_llg(p)
-    add_rule(p)
+    p.set_defaults(run=_cmd_derivative)
+    add_llg_and_rule(p)
     p.add_argument("--step", type=float, default=None, help="finite-difference step")
 
     p = sub.add_parser("region-map", help="derivative map over the local-bid plane as CSV")
+    p.set_defaults(run=_cmd_region_map)
     add_rule(p)
     p.add_argument("--g", type=float, default=1.0, help="global bundle bid (default 1.0)")
     p.add_argument("--resolution", type=int, default=200, help="grid points per axis")
     p.add_argument("--svg", help="also render the map to this SVG path")
 
     p = sub.add_parser("verify-table", help="run the randomized cross-verification suites")
+    p.set_defaults(run=_cmd_verify_table)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed (default 7)")
     p.add_argument("--samples", type=int, default=1000, help="sampled profiles per case")
 
     p = sub.add_parser("core-check", help="check a payment vector against the core constraints")
+    p.set_defaults(run=_cmd_core_check)
     add_llg_or_instance(p)
     p.add_argument(
         "--payments", nargs="*", type=float, required=True, help="one payment per bidder"
@@ -157,54 +165,47 @@ def _load_instance(path: str) -> AuctionInstance:
         return instance_from_json(handle.read())
 
 
-def _profile(args: argparse.Namespace) -> LlgBidProfile:
-    return LlgBidProfile(*args.llg)
+def _case_label(profile: LlgBidProfile) -> str:
+    return classify_case(profile).value if profile.locals_win() else "global_winner"
 
 
 def _cmd_payments(args: argparse.Namespace) -> int:
-    rule = ReferenceRule(args.rule)
-    if args.llg is not None:
-        profile = _profile(args)
-        if profile.locals_win():
-            p1, p2 = closed_form_reference(profile, rule)
-            line = f"case={classify_case(profile).value} p1={_fmt(p1)} p2={_fmt(p2)}\n"
-        else:
-            vector = reference_point(profile.to_instance(), rule)
-            line = f"case=global_winner {_fmt_vector(vector)}\n"
+    profile = args.llg
+    if profile is None:
+        line = _fmt_vector(reference_point(_load_instance(args.instance), args.rule))
     else:
-        line = _fmt_vector(reference_point(_load_instance(args.instance), rule)) + "\n"
-    _write(args, line)
+        # The closed forms hold where the locals win; the engine prices the rest.
+        vector = (
+            closed_form_reference(profile, args.rule)
+            if profile.locals_win()
+            else reference_point(profile.to_instance(), args.rule)
+        )
+        line = f"case={_case_label(profile)} {_fmt_vector(vector)}"
+    _write(args, line + "\n")
     return 0
 
 
 def _cmd_project(args: argparse.Namespace) -> int:
-    profile = _profile(args)
-    rule = ReferenceRule(args.rule)
-    reference = reference_point(profile.to_instance(), rule)
-    projected = project_to_mrc(profile, reference, c=args.metric)
-    case = classify_case(profile).value if profile.locals_win() else "global_winner"
-    _write(args, f"case={case} {_fmt_vector(projected)}\n")
+    reference = reference_point(args.llg.to_instance(), args.rule)
+    projected = project_to_mrc(args.llg, reference, c=args.metric)
+    _write(args, f"case={_case_label(args.llg)} {_fmt_vector(projected)}\n")
     return 0
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
-    profile = _profile(args)
-    rule = ReferenceRule(args.rule)
     line = (
-        f"case={classify_case(profile).value}"
-        f" sens1={_fmt(sensitivity(profile, rule))}"
-        f" sens2={_fmt(sensitivity2(profile, rule))}\n"
+        f"case={classify_case(args.llg).value}"
+        f" sens1={_fmt(sensitivity(args.llg, args.rule))}"
+        f" sens2={_fmt(sensitivity2(args.llg, args.rule))}\n"
     )
     _write(args, line)
     return 0
 
 
 def _cmd_derivative(args: argparse.Namespace) -> int:
-    profile = _profile(args)
-    rule = ReferenceRule(args.rule)
-    report = projection_derivative(profile, rule)
+    report = projection_derivative(args.llg, args.rule)
     try:
-        numeric = _fmt(numeric_derivative(profile, rule, args.step))
+        numeric = _fmt(numeric_derivative(args.llg, args.rule, args.step))
     except BoundaryProximityError:
         numeric = "n/a"
     line = (
@@ -256,7 +257,7 @@ def render_region_map_svg(grid: RegionMap) -> str:
 
 
 def _cmd_region_map(args: argparse.Namespace) -> int:
-    grid = region_map(ReferenceRule(args.rule), g=args.g, resolution=args.resolution)
+    grid = region_map(args.rule, g=args.g, resolution=args.resolution)
     # Opened first, so an SVG path that cannot be opened fails before any
     # output; the SVG is still rendered after the CSV text is freed.
     with open(args.svg, "w", encoding="utf-8") if args.svg else contextlib.nullcontext() as svg:
@@ -295,31 +296,21 @@ def _violations_json(found: list[CoreViolation]) -> str:
 
 
 def _cmd_core_check(args: argparse.Namespace) -> int:
-    if args.llg is not None:
-        instance = _profile(args).to_instance()
-    else:
-        instance = _load_instance(args.instance)
+    instance = _load_instance(args.instance) if args.llg is None else args.llg.to_instance()
     found = core_violations(instance, args.payments)
     _write(args, _violations_json(found))
     return 1 if found else 0
 
 
-_COMMANDS = {
-    "payments": _cmd_payments,
-    "project": _cmd_project,
-    "sensitivity": _cmd_sensitivity,
-    "derivative": _cmd_derivative,
-    "region-map": _cmd_region_map,
-    "verify-table": _cmd_verify_table,
-    "core-check": _cmd_core_check,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # Each input is read here once; the handlers get a rule and a profile.
+        if hasattr(args, "rule"):
+            args.rule = ReferenceRule(args.rule)
+        if getattr(args, "llg", None) is not None:
+            args.llg = LlgBidProfile(*args.llg)
+        return args.run(args)
     except (OSError, ValueError) as exc:
         # Input errors: JSON decoding and every coreselect error are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)

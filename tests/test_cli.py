@@ -90,6 +90,37 @@ class TestParsing:
         assert excinfo.value.code == 2
 
 
+# Each command's arguments besides --llg and --instance.
+_LLG_OR_INSTANCE_TAILS = {
+    "payments": ("--rule", "vcg"),
+    "core-check": ("--payments", "0.3", "0.4", "0"),
+}
+
+
+class TestLlgOrInstance:
+    """payments and core-check take exactly one of --llg and --instance."""
+
+    def reject(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (excinfo.value.code, out) == (2, "")
+        return err
+
+    @pytest.mark.parametrize("command", sorted(_LLG_OR_INSTANCE_TAILS))
+    def test_both_rejected(self, capsys, tmp_path, command):
+        path = tmp_path / "instance.json"
+        path.write_text(instance_to_json(llg_instance(0.4, 0.5, 0.8)))
+        argv = [command, "--llg", "0.4", "0.5", "0.8", "--instance", str(path)]
+        err = self.reject(capsys, argv + list(_LLG_OR_INSTANCE_TAILS[command]))
+        assert "not allowed with argument" in err, err
+
+    @pytest.mark.parametrize("command", sorted(_LLG_OR_INSTANCE_TAILS))
+    def test_neither_rejected(self, capsys, command):
+        err = self.reject(capsys, [command, *_LLG_OR_INSTANCE_TAILS[command]])
+        assert "one of the arguments --llg --instance is required" in err, err
+
+
 class TestNegativeNumbers:
     """A "-"-prefixed token that float() reads is a value, never an option."""
 
@@ -1075,3 +1106,44 @@ class TestReadmeExamples:
             return
         _, out, _ = run(capsys, *argv)
         assert out == expected
+
+
+_SUBCOMMANDS = [
+    "payments",
+    "project",
+    "sensitivity",
+    "derivative",
+    "region-map",
+    "verify-table",
+    "core-check",
+]
+
+
+def help_text(*argv):
+    """What ``main([*argv, "--help"])`` prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        main([*argv, "--help"])
+    return out.getvalue()
+
+
+def readme_synopsis():
+    """Each subcommand of README's "Command line" block, with the ``--options`` on its line."""
+    block = re.search(
+        r"^## Command line\n\n```text\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S
+    ).group(1)
+    return [(line.split()[1], set(re.findall(r"--[a-z][a-z-]*", line))) for line in block.splitlines()]
+
+
+README_SYNOPSIS = readme_synopsis()
+
+
+class TestReadmeSynopsis:
+    def test_one_line_per_subcommand(self):
+        assert [command for command, _ in README_SYNOPSIS] == _SUBCOMMANDS
+        assert re.search(r"\{([a-z,-]+)\}", help_text()).group(1).split(",") == _SUBCOMMANDS
+
+    @pytest.mark.parametrize("command", _SUBCOMMANDS)
+    def test_options_match_help(self, command):
+        printed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", help_text(command))) - {"--help"}
+        assert dict(README_SYNOPSIS)[command] == printed
