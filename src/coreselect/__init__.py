@@ -15,7 +15,6 @@ from .core import (
     project_to_mrc,
 )
 from .llg import (
-    BoundaryProximityError,
     CaseLabel,
     DerivativeReport,
     GlobalWinnerError,
@@ -24,7 +23,6 @@ from .llg import (
     classify_case,
     closed_form_for_case,
     closed_form_reference,
-    numeric_derivative,
     projection_derivative,
     region_inequalities,
     region_map,
@@ -61,6 +59,7 @@ from .reference import (
     shapley_payoffs_by_enumeration,
     vcg,
 )
+from .verify import BoundaryProximityError, numeric_derivative
 
 __version__ = "0.1.0"
 

@@ -22,10 +22,8 @@ from typing import Iterable
 
 from .core import CoreViolation, core_violations, project_to_mrc
 from .llg import (
-    BoundaryProximityError,
     RegionMap,
     classify_case,
-    numeric_derivative,
     projection_derivative,
     region_map,
     region_map_to_csv,
@@ -35,7 +33,7 @@ from .llg import (
 )
 from .model import AuctionInstance, LlgBidProfile, instance_from_json
 from .reference import ReferenceRule, reference_point
-from .verify import DEFAULT_SEED, run_all
+from .verify import DEFAULT_SEED, BoundaryProximityError, numeric_derivative, run_all
 
 _RULE_CHOICES = [rule.value for rule in ReferenceRule]
 

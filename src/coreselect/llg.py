@@ -2,11 +2,12 @@
 
 Per-case closed forms of the six reference rules for the two local bidders,
 their sensitivities (as exact rationals), the piecewise derivative of the
-projected payment rule with respect to the first local bid, a finite
-difference oracle that differentiates the full numeric pipeline, and region
-maps over the (a, b) plane. Each closed form is written for bidder 1;
-bidder 2's entry comes from the mirror rule: it is bidder 1's form in the
-mirrored case (a > g and b > g exchanged) at the swapped bids (b, a, g).
+projected payment rule with respect to the first local bid, and region maps
+over the (a, b) plane. Each closed form is written for bidder 1; bidder 2's
+entry comes from the mirror rule: it is bidder 1's form in the mirrored case
+(a > g and b > g exchanged) at the swapped bids (b, a, g). Nothing here
+solves an auction: the closed forms are an independent path, and ``verify``
+checks them against the engine.
 
 The bid space splits into four cases by comparing each local bid to the
 global bid, with ties counted as weak; every closed form is continuous
@@ -31,9 +32,9 @@ from itertools import compress, groupby
 from operator import is_not
 from typing import Callable, NamedTuple
 
-from .core import even_split, llg_segment_ends, project_to_mrc
+from .core import even_split, llg_segment_ends
 from .model import TIE_TOLERANCE, LlgBidProfile
-from .reference import ReferenceRule, reference_point
+from .reference import ReferenceRule
 
 # How near a segment end the even split counts as on it, as a multiple of g:
 # the split scales with the bids, so the kink band does too.
@@ -48,10 +49,6 @@ def _global_winner_error(profile: LlgBidProfile) -> GlobalWinnerError:
     return GlobalWinnerError(
         f"global bidder wins at (a, b, g) = ({profile.a}, {profile.b}, {profile.g})"
     )
-
-
-class BoundaryProximityError(ValueError):
-    """The profile is too close to a kink for a finite difference to be trusted."""
 
 
 class CaseLabel(Enum):
@@ -316,43 +313,6 @@ def projection_derivative(profile: LlgBidProfile, rule: ReferenceRule) -> Deriva
         region = _INTERIOR
     # Reports are shared: every call with the same outcome returns the same object.
     return entry.reports[region][boundary]
-
-
-def numeric_derivative(
-    profile: LlgBidProfile, rule: ReferenceRule, h: float | None = None
-) -> float:
-    """Central difference of the full numeric pipeline w.r.t. the first local bid.
-
-    The pipeline runs the exhaustive engine's reference point through the
-    minimum-revenue projection; it is piecewise linear, so away from kinks
-    the central difference is exact up to rounding. Requires the profile to
-    be at distance greater than 10 h from every case boundary and from the
-    segment-end kinks of the projection. ``h`` defaults to 1e-5 * max(g, a),
-    so it and the margins scale with the bids; one that is not finite and
-    positive, or too small to change a, is a ``ValueError``.
-    """
-    a, b, g = profile.a, profile.b, profile.g
-    if h is None:
-        h = 1e-5 * max(g, a)
-    elif not (math.isfinite(h) and h > 0 and a - h < a < a + h):
-        raise ValueError(f"step must be finite, positive and change a = {a}, got {h}")
-    if not profile.locals_win():
-        raise _global_winner_error(profile)
-    p1, p2 = closed_form_reference(profile, rule)
-    split = even_split(g, p1, p2)
-    p1_min, p1_max = llg_segment_ends(a, b, g)
-    margins = (a + b - g, abs(a - g), abs(b - g), a, abs(split - p1_min), abs(split - p1_max))
-    # A default step that underflows to 0 fails this too.
-    if not 0 < 10 * h < min(margins):
-        raise BoundaryProximityError(
-            f"profile within 10h of a case or region boundary (margin {min(margins):.3g}, h {h:.3g})"
-        )
-
-    def pinned_payment(x: float) -> float:
-        shifted = LlgBidProfile(x, b, g)
-        return project_to_mrc(shifted, reference_point(shifted.to_instance(), rule))[0]
-
-    return (pinned_payment(a + h) - pinned_payment(a - h)) / (2 * h)
 
 
 @dataclass(frozen=True)

@@ -4,24 +4,26 @@ Each suite pits an independent computation path against another: closed forms
 against the exhaustive engine, analytic derivatives against finite
 differences of the full pipeline, subset-weighted Shapley values against
 arrival-order averages, and projections against the raw core constraints.
+The finite-difference oracle, ``numeric_derivative``, lives here too: it runs
+the engine, so the closed forms in ``llg`` never do.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import core_violations, project_to_mrc
+from .core import core_violations, even_split, llg_segment_ends, project_to_mrc
 from .llg import (
-    BoundaryProximityError,
     CaseLabel,
     check_threshold_table,
     closed_form_for_case,
     closed_form_reference,
-    numeric_derivative,
     projection_derivative,
     sample_llg_profile,
+    sensitivity,
     sensitivity_fraction,
 )
 from .model import AuctionInstance, Bid, Bidder, LlgBidProfile
@@ -118,6 +120,48 @@ def sensitivity_consistency_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
                 lambda: f"{rule.value} in {case.value}: deviation {worst:.3e}",
             )
     return result
+
+
+class BoundaryProximityError(ValueError):
+    """The profile is too close to a kink for a finite difference to be trusted."""
+
+
+def numeric_derivative(
+    profile: LlgBidProfile, rule: ReferenceRule, h: float | None = None
+) -> float:
+    """Central difference of the full numeric pipeline w.r.t. the first local bid.
+
+    The pipeline runs the exhaustive engine's reference point through the
+    minimum-revenue projection; it is piecewise linear, so away from kinks
+    the central difference is exact up to rounding. Requires the profile to
+    be at distance greater than 10 h from every case boundary and from the
+    segment-end kinks of the projection. ``h`` defaults to 1e-5 * max(g, a),
+    so it and the margins scale with the bids; one that is not finite and
+    positive, or too small to change a, is a ``ValueError``. Where the
+    global bidder wins, the call to ``sensitivity`` raises its
+    ``GlobalWinnerError``.
+    """
+    a, b, g = profile.a, profile.b, profile.g
+    if h is None:
+        h = 1e-5 * max(g, a)
+    elif not (math.isfinite(h) and h > 0 and a - h < a < a + h):
+        raise ValueError(f"step must be finite, positive and change a = {a}, got {h}")
+    sensitivity(profile, rule)
+    p1, p2 = closed_form_reference(profile, rule)
+    split = even_split(g, p1, p2)
+    p1_min, p1_max = llg_segment_ends(a, b, g)
+    margins = (a + b - g, abs(a - g), abs(b - g), a, abs(split - p1_min), abs(split - p1_max))
+    # A default step that underflows to 0 fails this too.
+    if not 0 < 10 * h < min(margins):
+        raise BoundaryProximityError(
+            f"profile within 10h of a case or region boundary (margin {min(margins):.3g}, h {h:.3g})"
+        )
+
+    def pinned_payment(x: float) -> float:
+        shifted = LlgBidProfile(x, b, g)
+        return project_to_mrc(shifted, reference_point(shifted.to_instance(), rule))[0]
+
+    return (pinned_payment(a + h) - pinned_payment(a - h)) / (2 * h)
 
 
 def derivative_oracle_suite(samples: int = 1000, seed: int = DEFAULT_SEED) -> SuiteResult:

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from coreselect import (
+    BoundaryProximityError,
     CaseLabel,
     LlgBidProfile,
     auctioneer_payoff,
@@ -33,7 +34,7 @@ from coreselect import (
     shapley_payoffs,
     shapley_payoffs_by_enumeration,
 )
-from coreselect.llg import BoundaryProximityError, check_threshold_table
+from coreselect.llg import check_threshold_table
 from coreselect.reference import ReferenceRule, auctioneer_payoff_by_enumeration, reference_point
 from coreselect.verify import random_instance
 

@@ -18,11 +18,21 @@ PUBLIC_API = {
     "CoreConstraint", "CoreViolation", "core_violations", "llg_segment_ends",
     "project_to_mrc",
     # llg
-    "BoundaryProximityError", "CaseLabel", "DerivativeReport", "GlobalWinnerError",
-    "Region", "RegionMap", "classify_case", "closed_form_for_case",
-    "closed_form_reference", "numeric_derivative", "projection_derivative",
-    "region_inequalities", "region_map", "region_map_to_csv", "sample_llg_profile",
-    "sensitivity", "sensitivity2", "sensitivity_fraction",
+    "CaseLabel", "DerivativeReport", "GlobalWinnerError", "Region", "RegionMap",
+    "classify_case", "closed_form_for_case", "closed_form_reference",
+    "projection_derivative", "region_inequalities", "region_map", "region_map_to_csv",
+    "sample_llg_profile", "sensitivity", "sensitivity2", "sensitivity_fraction",
+    # verify
+    "BoundaryProximityError", "numeric_derivative",
+}
+
+# Everything llg imports from the package. None of it solves an auction, so
+# the closed forms stay a path of their own, which verify checks against the
+# engine.
+LLG_PACKAGE_IMPORTS = {
+    ".core": {"even_split", "llg_segment_ends"},
+    ".model": {"TIE_TOLERANCE", "LlgBidProfile"},
+    ".reference": {"ReferenceRule"},
 }
 
 
@@ -65,3 +75,19 @@ def test_no_module_imports_a_private_name_from_another():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_llg_imports_nothing_that_solves():
+    tree = ast.parse((Path(coreselect.__file__).parent / "llg.py").read_text(encoding="utf-8"))
+    imported: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").partition(".")[0] == "coreselect"
+        ):
+            names = imported.setdefault("." * node.level + (node.module or ""), set())
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.partition(".")[0] == "coreselect":
+                    imported.setdefault(alias.name, set())
+    assert imported == LLG_PACKAGE_IMPORTS

@@ -79,6 +79,15 @@ class TestParsing:
             main(["payments", "--llg", "0.4", "--rule", "vcg"])
         assert excinfo.value.code == 2
 
+    def test_llg_token_that_is_no_number(self, capsys):
+        # "-x" does not read as a float, so argparse takes it for an option.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["payments", "--llg", "-x", "0.5", "0.8", "--rule", "vcg"])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --llg: expected 3 arguments" in err
+
     def test_unknown_rule(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["payments", "--llg", "0.4", "0.5", "0.8", "--rule", "nope"])
@@ -235,6 +244,12 @@ class TestPayments:
         assert out == ""
         assert "Traceback" not in err
         assert err.startswith(f'error: instance field "{field}" '), err
+
+    def test_duplicate_goods_rejected(self, capsys, tmp_path):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"goods": ["g1", "g1"], "bidders": []}))
+        code, out, err = run(capsys, "payments", "--instance", str(path), "--rule", "vcg")
+        assert (code, out, err) == (2, "", "error: duplicate good identifiers\n")
 
     def test_value_too_large_for_a_float_rejected(self, capsys, tmp_path):
         path = tmp_path / "instance.json"

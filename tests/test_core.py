@@ -362,6 +362,10 @@ class TestProjection:
         with pytest.raises(ValueError, match="reference entry"):
             project_to_mrc(LlgBidProfile(0.4, 0.5, 0.8), reference)
 
+    def test_reference_must_cover_both_locals(self):
+        with pytest.raises(ValueError, match="^reference must cover the two local bidders$"):
+            project_to_mrc(LlgBidProfile(0.4, 0.5, 0.8), (0.1,))
+
     def test_metric_independence(self):
         profile = LlgBidProfile(0.4, 0.5, 0.8)
         reference = (0.1, 0.7)

@@ -1,5 +1,7 @@
+import importlib
 import math
 import operator
+import pkgutil
 import random
 import re
 import sys
@@ -11,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coreselect import (
+    AuctionInstance,
     BoundaryProximityError,
     CaseLabel,
     GlobalWinnerError,
@@ -31,6 +34,7 @@ from coreselect import (
     sensitivity_fraction,
 )
 import coreselect.llg
+from coreselect.cli import render_region_map_svg
 from coreselect.llg import (
     MAX_DRAWS,
     THRESHOLD_TABLE,
@@ -886,3 +890,82 @@ class TestThresholdTable:
             if cell.rule is R.SHAPLEY_PAYMENT_WITH_AUCTIONEER:
                 # Unscaled, 7 * a + 5 * b overflows and the cell reads inf < inf.
                 assert direct and not cell.exact(profile.a, profile.b, profile.g), cell
+
+
+# Every way into the engine: the solvers, the reference rules, the
+# projection, the core check and ``llg_instance``.
+ENGINE_ENTRY_POINTS = (
+    "winner_determination",
+    "coalition_value_table",
+    "reference_point",
+    "first_price",
+    "vcg",
+    "shapley_payoffs",
+    "shapley_payments",
+    "project_to_mrc",
+    "core_violations",
+    "llg_instance",
+)
+
+
+class EngineReached(AssertionError):
+    """An engine entry point ran under the ``no_engine`` guard."""
+
+
+@pytest.fixture
+def no_engine(monkeypatch):
+    """Rebind every engine entry point, in every ``coreselect`` module, to raise.
+
+    ``AuctionInstance.__post_init__`` raises too, so no instance can be
+    built and nothing can be solved by another route.
+    """
+
+    def blocked(name):
+        def entry(*args, **kwargs):
+            raise EngineReached(name)
+
+        return entry
+
+    modules = [coreselect] + [
+        importlib.import_module(f"coreselect.{info.name}")
+        for info in pkgutil.iter_modules(coreselect.__path__)
+    ]
+    rebound = set()
+    for module in modules:
+        for name in ENGINE_ENTRY_POINTS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, blocked(name))
+                rebound.add(name)
+    assert rebound == set(ENGINE_ENTRY_POINTS)
+    monkeypatch.setattr(AuctionInstance, "__post_init__", blocked("AuctionInstance.__post_init__"))
+
+
+class TestClosedFormsNeverSolve:
+    """The closed forms are a path of their own: they run with the engine unreachable."""
+
+    def test_accessors(self, no_engine):
+        rng = random.Random(7)
+        for case in CaseLabel:
+            for _ in range(10):
+                profile = sample_llg_profile(rng, case)
+                for rule in R:
+                    closed_form_reference(profile, rule)
+                    for other in CaseLabel:
+                        closed_form_for_case(other, profile, rule)
+                    projection_derivative(profile, rule)
+                    sensitivity(profile, rule)
+                    sensitivity2(profile, rule)
+                    region_inequalities(profile, rule)
+
+    def test_region_maps_and_writers(self, no_engine):
+        for rule in R:
+            grid = region_map(rule, 1.0, 41)
+            region_map_to_csv(grid)
+            render_region_map_svg(grid)
+
+    def test_threshold_table(self, no_engine):
+        check_threshold_table(50, 7)
+
+    def test_numeric_derivative_reaches_the_engine(self, no_engine):
+        with pytest.raises(EngineReached):
+            numeric_derivative(LlgBidProfile(0.4, 0.5, 0.8), R.VCG)

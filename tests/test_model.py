@@ -1,5 +1,6 @@
 import json
 import math
+import pydoc
 import random
 
 import pytest
@@ -598,6 +599,15 @@ class TestScale:
         assert "scale" not in repr(instance)
 
 
+class TestSolvedOnceDescriptor:
+    def test_class_access_gives_the_documented_descriptor(self):
+        # So help() and pydoc can read each solved-once attribute's docstring.
+        descriptor = AuctionInstance.allocation
+        assert isinstance(descriptor, model._solved_once)
+        assert descriptor.__doc__ == "The efficient allocation, solved once."
+        assert descriptor.__doc__ in pydoc.render_doc(AuctionInstance, renderer=pydoc.plaintext)
+
+
 class TestRealizedWelfare:
     def test_on_locals_win(self):
         instance = llg_instance(0.4, 0.5, 0.8)
@@ -615,6 +625,10 @@ class TestRealizedWelfare:
 
 
 class TestValidation:
+    def test_duplicate_goods(self):
+        with pytest.raises(ValueError, match="^duplicate good identifiers$"):
+            AuctionInstance(("g1", "g1"), ())
+
     def test_too_many_goods(self):
         goods = tuple(f"g{i}" for i in range(9))
         with pytest.raises(SizeLimitError):
