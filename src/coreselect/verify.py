@@ -108,8 +108,9 @@ def sensitivity_consistency_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
             worst = 0.0
             for _ in range(20):
                 profile = sample_llg_profile(rng, case)
-                # Stay away from case boundaries so both evaluations share forms.
-                if min(abs(profile.a - profile.g), profile.a, profile.a + profile.b - profile.g) <= 10 * h:
+                # Both evaluations use this case's forms, which are linear in a,
+                # so only a - h has to stay a valid (non-negative) bid.
+                if profile.a <= 10 * h:
                     continue
                 up = closed_form_for_case(case, LlgBidProfile(profile.a + h, profile.b, profile.g), rule)
                 down = closed_form_for_case(case, LlgBidProfile(profile.a - h, profile.b, profile.g), rule)
@@ -133,9 +134,11 @@ def numeric_derivative(
 
     The pipeline runs the exhaustive engine's reference point through the
     minimum-revenue projection; it is piecewise linear, so away from kinks
-    the central difference is exact up to rounding. Requires the profile to
-    be at distance greater than 10 h from every case boundary and from the
-    segment-end kinks of the projection. ``h`` defaults to 1e-5 * max(g, a),
+    the central difference is exact up to rounding. Its kinks in a are at
+    a = g, at a + b = g and where the even split meets an end of the
+    segment, so the profile must be farther than 10 h from each of them and
+    from a = 0, where a - h stops being a bid. b is held fixed, so b = g is
+    a case boundary but no kink in a. ``h`` defaults to 1e-5 * max(g, a),
     so it and the margins scale with the bids; one that is not finite and
     positive, or too small to change a, is a ``ValueError``. Where the
     global bidder wins, the call to ``sensitivity`` raises its
@@ -150,7 +153,7 @@ def numeric_derivative(
     p1, p2 = closed_form_reference(profile, rule)
     split = even_split(g, p1, p2)
     p1_min, p1_max = llg_segment_ends(a, b, g)
-    margins = (a + b - g, abs(a - g), abs(b - g), a, abs(split - p1_min), abs(split - p1_max))
+    margins = (a + b - g, abs(a - g), a, abs(split - p1_min), abs(split - p1_max))
     # A default step that underflows to 0 fails this too.
     if not 0 < 10 * h < min(margins):
         raise BoundaryProximityError(
@@ -171,16 +174,14 @@ def derivative_oracle_suite(samples: int = 1000, seed: int = DEFAULT_SEED) -> Su
     rules = tuple(ReferenceRule)
     cases = tuple(CaseLabel)
     vcg_values = set()
-    collected = 0
-    while collected < samples:
-        rule = rules[collected % len(rules)]
+    while result.total < samples:
+        rule = rules[result.total % len(rules)]
         case = cases[rng.randrange(len(cases))]
         profile = sample_llg_profile(rng, case)
         try:
             numeric = numeric_derivative(profile, rule)
         except BoundaryProximityError:
             continue
-        collected += 1
         report = projection_derivative(profile, rule)
         if rule is ReferenceRule.VCG:
             vcg_values.add(round(report.derivative, 9))
@@ -243,7 +244,6 @@ def shapley_axiom_suite(instances: int = 1000, seed: int = DEFAULT_SEED) -> Suit
     """Efficiency of both payoff variants plus the arrival-order cross-check."""
     result = SuiteResult("shapley axioms")
     rng = random.Random(seed)
-    efficiency_failures = 0
     for _ in range(instances):
         instance = random_instance(rng)
         total_value = instance.coalition_values[-1]
@@ -252,13 +252,11 @@ def shapley_axiom_suite(instances: int = 1000, seed: int = DEFAULT_SEED) -> Suit
         ok = abs(sum(without) - total_value) <= EQUIVALENCE_TOLERANCE
         ok = ok and abs(sum(with_a) + auctioneer_payoff(instance) - total_value) <= EQUIVALENCE_TOLERANCE
         result.check(ok)
-        efficiency_failures += not ok
+    efficiency_failures = result.total - result.passed
     if efficiency_failures:
         result.notes.append(f"efficiency failed on {efficiency_failures} instances")
 
-    oracle_failures = 0
-    oracle_runs = 60
-    for _ in range(oracle_runs):
+    for _ in range(60):
         instance = random_instance(rng, max_bidders=4)
         ok = True
         for with_auctioneer in (False, True):
@@ -269,7 +267,7 @@ def shapley_axiom_suite(instances: int = 1000, seed: int = DEFAULT_SEED) -> Suit
             auctioneer_payoff(instance) - auctioneer_payoff_by_enumeration(instance)
         ) <= EQUIVALENCE_TOLERANCE
         result.check(ok)
-        oracle_failures += not ok
+    oracle_failures = result.total - result.passed - efficiency_failures
     if oracle_failures:
         result.notes.append(f"arrival-order oracle disagreed on {oracle_failures} instances")
     return result

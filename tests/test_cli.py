@@ -1106,6 +1106,7 @@ class TestReadmeExamples:
             ["coreselect", "project"],
             ["coreselect", "derivative"],
             ["coreselect", "core-check"],
+            ["coreselect", "derivative"],
             ["coreselect", "verify-table"],
         ]
 

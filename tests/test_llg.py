@@ -43,6 +43,7 @@ from coreselect.llg import (
 )
 from coreselect.reference import ReferenceRule as R
 from coreselect.reference import reference_point
+from coreselect.verify import DERIVATIVE_TOLERANCE
 from helpers import (
     WRITER_GRIDS,
     assert_same_text,
@@ -520,6 +521,39 @@ class TestNumericDerivative:
         with pytest.raises(BoundaryProximityError):
             numeric_derivative(LlgBidProfile(0.800001, 0.5, 0.8), R.VCG, h=1e-5)
 
+    @pytest.mark.parametrize(
+        "profile,rule,margin",
+        [
+            # Each refused profile is within 10h (h = 1e-5) of one kink only.
+            pytest.param(LlgBidProfile(1.00005, 0.5, 1.0), R.VCG, "5e-05", id="a=g"),
+            pytest.param(
+                LlgBidProfile(0.2, 0.80005, 1.0), R.SHAPLEY_PAYMENT_NO_AUCTIONEER, "5e-05", id="a+b=g"
+            ),
+            pytest.param(LlgBidProfile(5e-5, 1.5, 1.0), R.FIRST_PRICE, "5e-05", id="a=0"),
+            pytest.param(
+                LlgBidProfile(0.6502, 0.45, 1.0), R.SHAPLEY_PAYMENT_NO_AUCTIONEER, "5e-05", id="lower-end"
+            ),
+            pytest.param(
+                LlgBidProfile(0.44992, 0.65, 1.0), R.SHAPLEY_PAYMENT_NO_AUCTIONEER, "6e-05", id="upper-end"
+            ),
+            # b is held fixed, so b = g is no kink in a: these are evaluated.
+            *(
+                pytest.param(LlgBidProfile(0.4, b, 0.8), rule, None, id=f"b={b}-{rule.value}")
+                for b in (0.79995, 0.8, 0.80005)
+                for rule in R
+            ),
+        ],
+    )
+    def test_refuses_only_within_10h_of_a_kink_in_a(self, profile, rule, margin):
+        if margin is not None:
+            message = f"profile within 10h of a case or region boundary (margin {margin}, h 1e-05)"
+            with pytest.raises(BoundaryProximityError, match=re.escape(message) + "$"):
+                numeric_derivative(profile, rule)
+        else:
+            report = projection_derivative(profile, rule)
+            numeric = numeric_derivative(profile, rule)
+            assert abs(numeric - report.derivative) <= DERIVATIVE_TOLERANCE
+
     @pytest.mark.parametrize("h", [0.0, -0.3, math.nan, 1e-300, math.inf])
     def test_invalid_step_rejected(self, h):
         # A plain ValueError: the proximity error would be reported as n/a.
@@ -554,6 +588,34 @@ def assert_same_runs(runs, expected):
 
 
 class TestRegionMap:
+    @pytest.mark.parametrize("rule", list(R))
+    def test_labels_match_an_exact_classification(self, rule):
+        # The coordinates i/16 are exact in binary, so every cell is
+        # classified in Fractions: the even split of the case's closed forms
+        # against the segment [max(0, g - b), min(a, g)].
+        grid = region_map(rule, 1.0, 33)
+        mismatches = []
+        for a, row in zip(map(Fraction, grid.a_values), grid.cells):
+            for b, cell in zip(map(Fraction, grid.b_values), row):
+                if cell is not None and cell.boundary:
+                    continue
+                if a + b < ONE:
+                    expected = None
+                else:
+                    profile = LlgBidProfile(a, b, ONE)
+                    p1, p2 = map(_exact, closed_form_for_case(classify_case(profile), profile, rule))
+                    split = (ONE + p1 - p2) / 2
+                    if split > min(a, ONE):
+                        expected = Region.IR1_BINDING if a <= ONE else Region.NONNEG_BINDING
+                    elif split < max(0, ONE - b):
+                        expected = Region.IR2_BINDING if b <= ONE else Region.NONNEG_BINDING
+                    else:
+                        expected = Region.INTERIOR
+                found = None if cell is None else cell.region
+                if found is not expected:
+                    mismatches.append((a, b, found, expected))
+        assert mismatches == []
+
     def test_minimal_grid(self):
         grid = region_map(R.VCG, g=1.0, resolution=2)
         assert grid.a_values == (0.0, 2.0)
