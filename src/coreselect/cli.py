@@ -9,12 +9,18 @@ input once: it turns ``--rule`` into a ``ReferenceRule`` and ``--llg`` into
 an ``LlgBidProfile`` before it dispatches, inside the same ``try`` that
 turns input errors into exit code 2, so the handlers get a rule and a
 profile.
+
+The parser is built on the first call of ``main`` and reused for the rest
+of the process. That is safe because ``parse_args`` returns a fresh
+namespace on every call, the conversions write only to it, and every
+default is immutable.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from types import SimpleNamespace
@@ -74,6 +80,7 @@ class _SubcommandParser(argparse.ArgumentParser):
         self._negative_number_matcher = SimpleNamespace(match=_reads_as_float)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coreselect",

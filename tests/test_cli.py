@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -7,6 +8,8 @@ import math
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -68,6 +71,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def build_parser_afresh(monkeypatch):
+    """Make ``main``'s next call build a new parser, under the module's current names.
+
+    ``main`` reuses one parser per process, so a test that rebinds a name the
+    parser is built from rebinds ``_build_parser`` too; monkeypatch puts the
+    process's parser back afterwards.
+    """
+    monkeypatch.setattr(
+        coreselect.cli, "_build_parser", functools.cache(coreselect.cli._build_parser.__wrapped__)
+    )
+
+
 class TestParsing:
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -97,6 +112,103 @@ class TestParsing:
         with pytest.raises(SystemExit) as excinfo:
             main(["payments", "--llg", "0.4", "x", "0.8", "--rule", "vcg"])
         assert excinfo.value.code == 2
+
+
+def run_step(argv, out_dir):
+    """``main(argv)``'s exit code, stdout, stderr and the files it wrote to ``out_dir``.
+
+    argparse's own exits count as exit codes; the files are read and removed.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    files = {}
+    for path in sorted(out_dir.iterdir()):
+        files[path.name] = path.read_text(encoding="utf-8")
+        path.unlink()
+    return code, out.getvalue(), err.getvalue(), files
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call leaves state in it."""
+
+    @staticmethod
+    def steps(tmp_path):
+        instance = tmp_path / "instance.json"
+        instance.write_text(instance_to_json(llg_instance(0.4, 0.5, 0.8)))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        svg, out = out_dir / "map.svg", out_dir / "payments.txt"
+        llg = ["--llg", "0.4", "0.5", "0.8"]
+        argvs = [
+            # Every subcommand, each option given and then left to its default.
+            ["payments", *llg, "--rule", "vcg"],
+            ["payments", "--instance", str(instance), "--rule", "first-price"],
+            ["project", *llg, "--rule", "shapley-with-auctioneer", "--metric", "3"],
+            ["project", *llg, "--rule", "shapley-with-auctioneer"],
+            ["sensitivity", *llg, "--rule", "shapley-no-auctioneer"],
+            ["derivative", "--llg", "0.4", "0.8", "0.8", "--rule", "vcg", "--step", "1e-4"],
+            ["derivative", "--llg", "0.4", "0.8", "0.8", "--rule", "vcg"],
+            ["region-map", "--rule", "vcg", "--g", "2", "--resolution", "5", "--svg", str(svg)],
+            ["region-map", "--rule", "vcg", "--resolution", "4"],
+            ["verify-table", "--seed", "3", "--samples", "1"],
+            ["core-check", *llg, "--payments", "0.1", "0.2", "0"],
+            ["core-check", "--instance", str(instance), "--payments", "0.3", "0.5", "0"],
+            # An argparse error, --help, then an input error from main's except.
+            ["payments", "--llg", "0.4", "--rule", "vcg"],
+            ["payments", "--help"],
+            ["payments", "--instance", str(tmp_path / "missing.json"), "--rule", "vcg"],
+            # --out, then the same call without it, which prints to stdout.
+            ["payments", *llg, "--rule", "vcg", "--out", str(out)],
+            ["payments", *llg, "--rule", "vcg"],
+        ]
+        return argvs, out_dir
+
+    def test_builds_once(self, tmp_path):
+        argvs, out_dir = self.steps(tmp_path)
+        run_step(argvs[0], out_dir)
+        misses = coreselect.cli._build_parser.cache_info().misses
+        for argv in argvs:
+            run_step(argv, out_dir)
+        assert coreselect.cli._build_parser.cache_info().misses == misses
+
+    def test_no_state_carried_between_calls(self, tmp_path, monkeypatch):
+        argvs, out_dir = self.steps(tmp_path)
+        reused = [run_step(argv, out_dir) for argv in argvs]
+        fresh = []
+        for argv in argvs:
+            build_parser_afresh(monkeypatch)
+            fresh.append(run_step(argv, out_dir))
+        assert reused == fresh
+        assert [step[0] for step in reused] == [0] * 10 + [1, 0, 2, 0, 2, 0, 0]
+        (_, written, _, files), (_, printed, _, _) = reused[-2:]
+        assert (written, files) == ("", {"payments.txt": printed})
+        assert printed.startswith("case=locals_weak ")
+
+    def test_defaults_are_immutable(self):
+        parser = coreselect.cli._build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parsers = [parser, *sub.choices.values()]
+        defaults = [action.default for p in parsers for action in p._actions]
+        defaults += [value for p in parsers for value in p._defaults.values()]
+        assert sum(map(callable, defaults)) == len(sub.choices)
+        immutable = (type(None), str, int, float, bool, tuple)
+        assert [value for value in defaults if not (isinstance(value, immutable) or callable(value))] == []
+
+    def test_import_builds_no_parser(self):
+        src = pathlib.Path(coreselect.cli.__file__).resolve().parent.parent
+        code = "import coreselect.cli as cli; print(cli._build_parser.cache_info().misses)"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={"PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout == "0\n"
 
 
 # Each command's arguments besides --llg and --instance.
@@ -169,6 +281,7 @@ class TestNegativeNumbers:
 
         ours = help_text()
         monkeypatch.setattr(coreselect.cli, "_SubcommandParser", argparse.ArgumentParser)
+        build_parser_afresh(monkeypatch)
         assert ours == help_text()
 
 

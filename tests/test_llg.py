@@ -546,7 +546,7 @@ class TestNumericDerivative:
     )
     def test_refuses_only_within_10h_of_a_kink_in_a(self, profile, rule, margin):
         if margin is not None:
-            message = f"profile within 10h of a case or region boundary (margin {margin}, h 1e-05)"
+            message = f"profile within 10h of a kink in a (margin {margin}, h 1e-05)"
             with pytest.raises(BoundaryProximityError, match=re.escape(message) + "$"):
                 numeric_derivative(profile, rule)
         else:

@@ -8,7 +8,7 @@ import dataclasses
 
 import pytest
 
-from coreselect import BoundaryProximityError, LlgBidProfile
+from coreselect import BoundaryProximityError, CaseLabel, LlgBidProfile
 from coreselect import verify
 from coreselect.reference import ReferenceRule as R
 
@@ -19,7 +19,8 @@ from coreselect.reference import ReferenceRule as R
         # On the case boundary a = g: the suite's own case forms are linear
         # in a on both sides of it, so the draw is evaluated, twice per check.
         (LlgBidProfile(1.0, 0.5, 1.0), 24 * 20 * 2),
-        # a - h would be a negative bid, so the draw is skipped.
+        # a - h would be a negative bid, so the draw is skipped, and every
+        # check fails, having compared nothing.
         (LlgBidProfile(5e-7, 1.5, 1.0), 0),
     ],
 )
@@ -34,7 +35,11 @@ def test_sensitivity_suite_skips_only_a_draw_below_its_step(monkeypatch, draw, e
     monkeypatch.setattr(verify, "sample_llg_profile", lambda rng, case: draw)
     monkeypatch.setattr(verify, "closed_form_for_case", recorded)
     result = verify.sensitivity_consistency_suite()
-    assert (result.ok, result.passed, result.total, result.notes) == (True, 24, 24, [])
+    if evaluations:
+        assert (result.ok, result.passed, result.total, result.notes) == (True, 24, 24, [])
+    else:
+        notes = [f"{rule.value} in {case.value}: no draw compared" for case in CaseLabel for rule in R]
+        assert (result.ok, result.passed, result.total, result.notes) == (False, 0, 24, notes)
     assert len(evaluated) == evaluations
 
 
