@@ -353,8 +353,10 @@ def _row_bands(rule: ReferenceRule, a: float, g: float, top: float) -> list[tupl
     """(centre, half-width) in b of each band where the report on row a can change.
 
     That is where the locals start to win, at b = g, and where split - lo or
-    split - hi crosses +-tol; on each case piece all three are linear in b,
-    read off the closed form and ``llg_segment_ends`` at the piece's two ends.
+    split - hi lies within tol of 0, the kink flag; on each case piece all
+    three are linear in b, read off the closed form and ``llg_segment_ends``
+    at the piece's two ends. The guard is at least tol, so one band around
+    each zero covers both edges of the flag, at -tol and +tol.
     """
     guard = _SPAN_GUARD * g + _SPAN_FLOOR
     tol = BOUNDARY_TOLERANCE * g
@@ -367,11 +369,10 @@ def _row_bands(rule: ReferenceRule, a: float, g: float, top: float) -> list[tupl
         slope = (even_split(g, *_evaluate(entry, a, q, g)) - split_p) / (q - p)
         for end_p, end_q in zip(llg_segment_ends(a, p, g), llg_segment_ends(a, q, g)):
             value, d = split_p - end_p, slope - (end_q - end_p) / (q - p)
-            for t in (-tol, tol):
-                if d:
-                    bands.append((p + (t - value) / d, guard / abs(d)))
-                elif abs(value - t) <= guard:
-                    bands.append(((p + q) / 2, (q - p) / 2 + guard))
+            if d:
+                bands.append((p - value / d, (tol + guard) / abs(d)))
+            elif abs(value) <= tol + guard:
+                bands.append(((p + q) / 2, (q - p) / 2 + guard))
     return bands
 
 
@@ -382,10 +383,12 @@ def region_map(rule: ReferenceRule, g: float = 1.0, resolution: int = 200) -> Re
     Cells where the global bidder wins are marked as global-winner.
 
     Built by spans: along a row the report changes only at the breakpoints
-    of ``_row_bands``. Cells in a breakpoint's guard band, the nearest cell
-    beyond each band and the row's first cell go through
-    ``projection_derivative``; every other cell gets the report object of
-    the evaluated cell before it, which lies in the same run.
+    of ``_row_bands``. The row's first cell, the cells inside a band and the
+    first cell after each band go through ``projection_derivative``. Any
+    other cell lies outside every band, and the nearest evaluated cell
+    before it is cell 0 or the first cell after a band, with no breakpoint
+    between the two; so it gets that cell's report object, which
+    ``projection_derivative`` shares.
     """
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
@@ -403,9 +406,9 @@ def region_map(rule: ReferenceRule, g: float = 1.0, resolution: int = 200) -> Re
     for a in coords:
         evaluated = {0}
         for centre, width in _row_bands(rule, a, g, top):
-            first = bisect_right(coords, centre - width) - 1
+            first = bisect_right(coords, centre - width)
             last = bisect_right(coords, centre + width)
-            evaluated.update(range(max(first, 0), min(last + 1, resolution)))
+            evaluated.update(range(first, min(last + 1, resolution)))
         row: list[DerivativeReport | None] = []
         report = None
         for j in sorted(evaluated):

@@ -1,6 +1,7 @@
 import importlib
 import math
 import operator
+import pathlib
 import pkgutil
 import random
 import re
@@ -587,6 +588,20 @@ def assert_same_runs(runs, expected):
             assert cell is expected_cell, (i, start, cell, expected_cell)
 
 
+# Exact share of [0, 2g]^2 in each region per rule, in the order IR1, IR2,
+# NONNEG, INTERIOR, GLOBAL. Within each case every closed form and both
+# segment ends are linear in (a, b), so each region is a union of convex
+# polygons: the case squares clipped by a + b > g, split > hi and split < lo.
+EXACT_SHARES = {
+    R.FIRST_PRICE: (0, 0, _F(1, 4), _F(5, 8), _F(1, 8)),
+    R.VCG: (0, 0, 0, _F(7, 8), _F(1, 8)),
+    R.SHAPLEY_PAYMENT_NO_AUCTIONEER: (_F(5, 48), _F(5, 48), 0, _F(2, 3), _F(1, 8)),
+    R.SHAPLEY_PAYOFF_NO_AUCTIONEER: (_F(1, 24), _F(1, 24), _F(1, 8), _F(2, 3), _F(1, 8)),
+    R.SHAPLEY_PAYMENT_WITH_AUCTIONEER: (_F(5, 336), _F(5, 336), _F(1, 15), _F(109, 140), _F(1, 8)),
+    R.SHAPLEY_PAYOFF_WITH_AUCTIONEER: (_F(19, 176), _F(19, 176), 0, _F(29, 44), _F(1, 8)),
+}
+
+
 class TestRegionMap:
     @pytest.mark.parametrize("rule", list(R))
     def test_labels_match_an_exact_classification(self, rule):
@@ -615,6 +630,67 @@ class TestRegionMap:
                 if found is not expected:
                     mismatches.append((a, b, found, expected))
         assert mismatches == []
+
+    def test_readme_gives_the_exact_shares(self):
+        readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+        rows = re.findall(r"^  \| `([a-z-]+)` \| (.*) \|$", readme.read_text(encoding="utf-8"), re.M)
+        assert {R(name): tuple(map(Fraction, cells.split(" | "))) for name, cells in rows} == (
+            EXACT_SHARES
+        )
+
+    @pytest.mark.parametrize("rule", list(R))
+    def test_cell_shares_match_the_exact_shares(self, rule):
+        grid = region_map(rule, 1.0, 401)
+        counts = dict.fromkeys(Region, 0)
+        for row in grid.cells:
+            for cell in row:
+                counts[Region.GLOBAL_WINNER if cell is None else cell.region] += 1
+        total = sum(counts.values())
+        for region, exact in zip(counts, EXACT_SHARES[rule], strict=True):
+            share = counts[region] / total
+            assert abs(share - exact) <= 0.004, (region, share, exact)
+            if exact == 0:
+                assert counts[region] == 0, region
+
+    @pytest.mark.parametrize("rule", list(R))
+    # At (5e-324, 9) grid points round together, so a b value names no single cell.
+    @pytest.mark.parametrize(
+        "g,resolution", [grid for grid in WRITER_GRIDS if grid[1] < 1000 and grid[0] != 5e-324]
+    )
+    def test_evaluates_only_the_cells_a_run_can_start_at(self, monkeypatch, rule, g, resolution):
+        # Cell 0, the cells inside a band and the first cell after each band:
+        # any other cell lies in the run an earlier evaluated cell started.
+        evaluated = {}
+
+        def recording(a, b, g):
+            evaluated.setdefault(a, []).append(b)
+            return LlgBidProfile(a, b, g)
+
+        monkeypatch.setattr(coreselect.llg, "LlgBidProfile", recording)
+        grid = region_map(rule, g, resolution)
+        coords = grid.b_values
+        assert len(set(coords)) == resolution, "each b names one cell"
+        for a in grid.a_values:
+            assert evaluated[a] == sorted(set(evaluated[a])), a
+            bands = coreselect.llg._row_bands(rule, a, g, coords[-1])
+            for b in evaluated[a]:
+                j = coords.index(b)
+                assert j == 0 or any(
+                    centre - width <= b <= centre + width
+                    or coords[j - 1] <= centre + width < b
+                    for centre, width in bands
+                ), (a, b)
+
+    def test_bench_pass_makes_4172_derivative_calls(self, monkeypatch):
+        calls = []
+
+        def counted(profile, rule):
+            calls.append(profile)
+            return projection_derivative(profile, rule)
+
+        monkeypatch.setattr(coreselect.llg, "projection_derivative", counted)
+        runs = sum(len(row) for rule in R for row in region_map(rule, 1.0, 200).runs)
+        assert (len(calls), runs) == (4172, 4308)
 
     def test_minimal_grid(self):
         grid = region_map(R.VCG, g=1.0, resolution=2)
