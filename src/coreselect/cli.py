@@ -21,10 +21,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import json
 import sys
 from types import SimpleNamespace
-from typing import Iterable
+from typing import Iterable, TextIO
 
 from .core import CoreViolation, core_violations, project_to_mrc
 from .llg import (
@@ -157,12 +158,14 @@ def _fmt_vector(values: Iterable[float]) -> str:
     return " ".join(f"p{i + 1}={_fmt(v)}" for i, v in enumerate(values))
 
 
+def _output(args: argparse.Namespace) -> contextlib.AbstractContextManager[TextIO]:
+    """The --out file, opened for writing, or stdout, which stays open."""
+    return open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+
+
 def _write(args: argparse.Namespace, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args) as out:
+        out.write(text)
 
 
 def _load_instance(path: str) -> AuctionInstance:
@@ -223,8 +226,13 @@ def _cmd_derivative(args: argparse.Namespace) -> int:
     return 0
 
 
-def render_region_map_svg(grid: RegionMap) -> str:
-    """Static SVG raster of a region map: one rect per cell, case lines overlaid."""
+def render_region_map_svg(grid: RegionMap, out: TextIO | None = None) -> str | None:
+    """Static SVG raster of a region map: one rect per cell, case lines overlaid.
+
+    Like ``region_map_to_csv``, each run's rects go to ``out.write`` as one
+    string, and the result is None; without ``out`` the text is returned.
+    """
+    target = io.StringIO() if out is None else out
     resolution = len(grid.a_values)
     cell = SVG_SIZE / resolution
     # Of the cells, only None, a global-winner cell, is false.
@@ -233,42 +241,42 @@ def render_region_map_svg(grid: RegionMap) -> str:
     # tail for its derivative's colour, each formatted once.
     tails = {
         value: f'" width="{cell:.2f}" height="{cell:.2f}" '
-        f'fill="{_SVG_PALETTE[i * (len(_SVG_PALETTE) - 1) // max(len(derivatives) - 1, 1)]}"/>'
+        f'fill="{_SVG_PALETTE[i * (len(_SVG_PALETTE) - 1) // max(len(derivatives) - 1, 1)]}"/>\n'
         for i, value in enumerate(derivatives)
     }
     ys = [f"{(resolution - 1 - j) * cell:.2f}" for j in range(resolution)]
-    parts = [
+    target.write(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{SVG_SIZE}" height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
-        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="#ffffff"/>',
-    ]
+        f'width="{SVG_SIZE}" height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">\n'
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="#ffffff"/>\n'
+    )
     for i, row in enumerate(grid.runs):
         x_prefix = f'<rect x="{i * cell:.2f}" y="'
         for start, stop, report in row:
             if report is not None:
                 # One string per run: its rects differ only in their y string.
                 tail = tails[report.derivative]
-                parts.append(x_prefix + (tail + "\n" + x_prefix).join(ys[start:stop]) + tail)
+                target.write(x_prefix + (tail + x_prefix).join(ys[start:stop]) + tail)
     # Case boundaries sit at a = g and b = g, i.e. halfway along each axis.
     mid = SVG_SIZE / 2
-    parts.append(
-        f'<line x1="{mid:.2f}" y1="0" x2="{mid:.2f}" y2="{SVG_SIZE}" stroke="#ff0000" stroke-width="1.5"/>'
+    target.write(
+        f'<line x1="{mid:.2f}" y1="0" x2="{mid:.2f}" y2="{SVG_SIZE}" stroke="#ff0000" stroke-width="1.5"/>\n'
+        f'<line x1="0" y1="{mid:.2f}" x2="{SVG_SIZE}" y2="{mid:.2f}" stroke="#ff0000" stroke-width="1.5"/>\n'
+        "</svg>\n"
     )
-    parts.append(
-        f'<line x1="0" y1="{mid:.2f}" x2="{SVG_SIZE}" y2="{mid:.2f}" stroke="#ff0000" stroke-width="1.5"/>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return target.getvalue() if out is None else None
 
 
 def _cmd_region_map(args: argparse.Namespace) -> int:
     grid = region_map(args.rule, g=args.g, resolution=args.resolution)
     # Opened first, so an SVG path that cannot be opened fails before any
-    # output; the SVG is still rendered after the CSV text is freed.
+    # output. The CSV file is closed before the SVG is written, so where
+    # --out names the same file none of its buffered bytes land after the SVG.
     with open(args.svg, "w", encoding="utf-8") if args.svg else contextlib.nullcontext() as svg:
-        _write(args, region_map_to_csv(grid))
+        with _output(args) as out:
+            region_map_to_csv(grid, out)
         if svg is not None:
-            svg.write(render_region_map_svg(grid))
+            render_region_map_svg(grid, svg)
             # Where --out is the same file, cut the CSV bytes past the SVG.
             svg.truncate()
     return 0

@@ -21,6 +21,7 @@ run in between takes the report of an evaluated cell.
 
 from __future__ import annotations
 
+import io
 import math
 import random
 from bisect import bisect_right
@@ -30,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress, groupby
 from operator import is_not
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, TextIO
 
 from .core import even_split, llg_segment_ends
 from .model import TIE_TOLERANCE, LlgBidProfile
@@ -421,17 +422,20 @@ def region_map(rule: ReferenceRule, g: float = 1.0, resolution: int = 200) -> Re
     return RegionMap(rule, g, coords, coords, tuple(cells))
 
 
-def region_map_to_csv(grid: RegionMap) -> str:
+def region_map_to_csv(grid: RegionMap, out: TextIO | None = None) -> str | None:
     """Serialise a region map, row-major by a then b, full float precision.
 
     Global-winner cells carry region "GLOBAL" and empty derivative and
-    sensitivity columns.
+    sensitivity columns. Each run's lines go to ``out.write`` as one string
+    as soon as they are built, and the result is None; without ``out`` they
+    go to an ``io.StringIO`` and the text is returned.
     """
-    lines = ["A,B,case,region,derivative,sensitivity"]
+    target = io.StringIO() if out is None else out
+    target.write("A,B,case,region,derivative,sensitivity\n")
     # The global bidder wins only where a + b < g, so both local bids are below g.
     # Suffixes are keyed by id(), the identity ``RegionMap.runs`` are found
     # by; the grid keeps every report alive while the suffixes are in use.
-    suffixes = {id(None): f"{CaseLabel.LOCALS_WEAK.value},{Region.GLOBAL_WINNER.value},,"}
+    suffixes = {id(None): f"{CaseLabel.LOCALS_WEAK.value},{Region.GLOBAL_WINNER.value},,\n"}
     b_prefixes = [f"{b!r}," for b in grid.b_values]
     for a, row in zip(grid.a_values, grid.runs):
         a_prefix = f"{a!r},"
@@ -440,11 +444,11 @@ def region_map_to_csv(grid: RegionMap) -> str:
             if suffix is None:
                 suffix = suffixes[id(cell)] = (
                     f"{cell.case.value},{cell.region.value},"
-                    f"{cell.derivative!r},{cell.sensitivity!r}"
+                    f"{cell.derivative!r},{cell.sensitivity!r}\n"
                 )
             # One string per run: its lines differ only in their b column.
-            lines.append(a_prefix + (suffix + "\n" + a_prefix).join(b_prefixes[start:stop]) + suffix)
-    return "\n".join(lines) + "\n"
+            target.write(a_prefix + (suffix + a_prefix).join(b_prefixes[start:stop]) + suffix)
+    return target.getvalue() if out is None else None
 
 
 # Pairs ``sample_llg_profile`` draws before it gives up: about half a second

@@ -49,10 +49,13 @@ def vcg(instance: AuctionInstance) -> tuple[float, ...]:
     realized = instance.realized
     values = []
     for i in range(instance.n):
-        others_value = table[full & ~(1 << i)]
-        # The others' accepted values, summed in id order.
-        others_realized = sum(realized[:i] + realized[i + 1 :])
-        values.append(others_value - others_realized)
+        # The others' accepted values, added one at a time in id order as the
+        # coalition table adds welfares, so a loser pays exactly 0.0; sum()
+        # compensates its rounding since Python 3.12, and would not match.
+        others_realized = 0.0
+        for value in realized[:i] + realized[i + 1 :]:
+            others_realized += value
+        values.append(table[full & ~(1 << i)] - others_realized)
     return tuple(values)
 
 

@@ -105,6 +105,27 @@ def general_auction_instance() -> AuctionInstance:
     return AuctionInstance(goods, tuple(bidders))
 
 
+def vcg_cancellation_instance() -> AuctionInstance:
+    """Four bidders where the losing bidder 3's VCG entry cancels only term by term.
+
+    The others' accepted values added one at a time in id order equal the
+    coalition table's welfare without bidder 3; ``sum()`` on Python 3.12+
+    compensates its rounding and gives a total 2.2e-16 away from it.
+    """
+    bids = (
+        (
+            Bid(frozenset({"g1", "g2", "g3"}), 0.23237903137676086),
+            Bid(frozenset({"g3"}), 0.8516907672959309),
+            Bid(frozenset({"g2"}), 0.6567443147891279),
+        ),
+        (Bid(frozenset({"g4"}), 0.2995396975353005),),
+        (),
+        (Bid(frozenset({"g1", "g2"}), 0.8027579148895004),),
+    )
+    bidders = tuple(Bidder(i, bidder_bids) for i, bidder_bids in enumerate(bids, start=1))
+    return AuctionInstance(("g1", "g2", "g3", "g4"), bidders)
+
+
 def twelve_bidder_payments() -> tuple[float, ...]:
     """Payments that violate many coalition constraints of ``twelve_bidder_instance``."""
     rng = random.Random(12)

@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,6 +36,7 @@ from helpers import (
     render_region_map_svg_by_cell,
     twelve_bidder_instance,
     twelve_bidder_payments,
+    vcg_cancellation_instance,
 )
 
 
@@ -309,6 +311,13 @@ class TestPayments:
         code, out, _ = run(capsys, "payments", "--instance", str(path), "--rule", "first-price")
         assert code == 0
         assert out == "p1=0.400000 p2=0.500000 p3=0.000000\n"
+
+    def test_vcg_loser_prints_plain_zero(self, capsys, tmp_path):
+        path = tmp_path / "instance.json"
+        path.write_text(instance_to_json(vcg_cancellation_instance()))
+        code, out, _ = run(capsys, "payments", "--instance", str(path), "--rule", "vcg")
+        assert code == 0
+        assert out.split()[2] == "p3=0.000000", out
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "payments", "--instance", "/no/such/file.json", "--rule", "vcg")
@@ -634,6 +643,28 @@ class TestRegionMapBytes:
         assert run(capsys, *argv, "--svg", str(path)) == (0, "", "")
         svg = path.read_text(encoding="utf-8")
         assert svg == render_region_map_svg(region_map(ReferenceRule.VCG, 1.0, 40))
+
+    def test_writers_stream_to_the_files(self, tmp_path):
+        # Both writers hand each run to the file as they reach it, so the
+        # command never holds its text: it peaks far below the CSV's size.
+        csv_path, svg_path = tmp_path / "map.csv", tmp_path / "map.svg"
+        argv = ["region-map", "--rule", "shapley-with-auctioneer", "--resolution", "300"]
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--out", str(csv_path), "--svg", str(svg_path)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = csv_path.stat().st_size
+        assert peak < size / 4, (peak, size)
+
+    def test_csv_to_stdout_matches_the_out_file(self, capsys, tmp_path):
+        path = tmp_path / "map.csv"
+        argv = ("region-map", "--rule", "shapley-with-auctioneer", "--resolution", "40")
+        assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == path.read_bytes()
 
     @pytest.mark.parametrize("g", ["inf", "nan", "1e308", "0", "-1"])
     def test_bad_global_bid_is_usage_error(self, capsys, g):

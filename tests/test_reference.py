@@ -28,7 +28,7 @@ from coreselect import (
 )
 from coreselect.reference import ReferenceRule, auctioneer_payoff_by_enumeration
 from coreselect.verify import random_instance
-from helpers import instances
+from helpers import instances, vcg_cancellation_instance
 
 TOL = 1e-9
 
@@ -66,13 +66,20 @@ class TestVcg:
         approx_vector(vcg(llg_instance(1.2, 0.3, 0.8)), (0.5, 0.0, 0.0))
 
     def test_losers_pay_nothing(self):
+        # Exactly nothing: the others' values and the coalition table's
+        # welfare without the loser are the same sums, added in the same order.
         rng = random.Random(3)
-        for _ in range(50):
-            instance = random_instance(rng)
+        for _ in range(1000):
+            instance = random_instance(rng, max_bidders=8)
             allocation = winner_determination(instance)
             for bidder_id, payment in zip(instance.bidder_ids(), vcg(instance)):
                 if not allocation.bundle_for(bidder_id):
-                    assert payment == pytest.approx(0.0, abs=TOL)
+                    assert payment == 0.0, (instance, bidder_id)
+
+    def test_loser_whose_entry_cancels_only_term_by_term(self):
+        instance = vcg_cancellation_instance()
+        assert winner_determination(instance).bundle_for(3) == frozenset()
+        assert vcg(instance)[2] == 0.0
 
 
 class TestShapleyPayoffs:
