@@ -11,7 +11,6 @@ in closed form.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -60,24 +59,23 @@ def core_violations(
 
     Every proper blocking coalition is checked, by mask, then each bidder's
     rationality cap and non-negativity floor; a constraint object is built
-    only for a violated condition. A payer sum that overflows to -inf is
-    rejected, so every returned slack is finite. Bounds and slacks sum over
-    the coalition and payer frozensets in their iteration order, which is
-    not ascending id order for every set (``frozenset({9, 3})`` yields 9
-    first); ``_core_orders`` keeps those orders, once per bidder count.
+    only for a violated condition. Each bound and slack reads its sums of
+    accepted bids and of payments from ``_subset_sums``, so every sum adds
+    its members one at a time in ascending id order. A payer sum that
+    overflows to -inf is rejected, so every returned slack is finite.
     """
     values = _payment_values(payments, instance.n)
     n = instance.n
-    orders = _core_orders(n)
+    full = (1 << n) - 1
     table = instance.coalition_values
     realized = instance.realized
+    realized_sums = _subset_sums(realized)
+    paid_sums = _subset_sums(values)
     tol = CORE_TOLERANCE * instance.scale
     violations = []
-    for mask in range((1 << n) - 1):
-        start = mask * n
-        split = start + mask.bit_count()
-        bound = table[mask] - sum(map(realized.__getitem__, orders[start:split]))
-        slack = sum(map(values.__getitem__, orders[split : start + n])) - bound
+    for mask in range(full):
+        bound = table[mask] - realized_sums[mask]
+        slack = paid_sums[full ^ mask] - bound
         if slack < -tol:
             coalition, payers = _coalition_and_payers(n, mask)
             if slack == -math.inf:
@@ -95,26 +93,23 @@ def core_violations(
     return violations
 
 
+def _subset_sums(values: Sequence[float]) -> list[float]:
+    """The sum of ``values[i]`` over the set bits i of each mask, indexed by mask.
+
+    Doubling the table once per value adds each mask's members one at a
+    time in ascending index order, starting from 0.0, on every interpreter
+    (``sum()`` compensates its rounding since CPython 3.12).
+    """
+    sums = [0.0]
+    for value in values:
+        sums += [total + value for total in sums]
+    return sums
+
+
 def _coalition_and_payers(n: int, mask: int) -> tuple[frozenset[int], frozenset[int]]:
     """The blocking coalition of bidders 1..n with this mask, and everyone else."""
     coalition = frozenset(i + 1 for i in range(n) if mask >> i & 1)
     return coalition, frozenset(range(1, n + 1)) - coalition
-
-
-@functools.cache
-def _core_orders(n: int) -> bytes:
-    """The order in which ``core_violations`` sums each coalition condition, for n bidders.
-
-    n entries per proper coalition mask, in mask order: the positions
-    (id - 1) of the coalition's members, then of the payers', each in the
-    iteration order of the frozensets ``_coalition_and_payers`` builds, so
-    that sums over them round as sums over those sets do.
-    """
-    orders = bytearray()
-    for mask in range((1 << n) - 1):
-        for members in _coalition_and_payers(n, mask):
-            orders.extend(i - 1 for i in members)
-    return bytes(orders)
 
 
 def llg_segment_ends(a: float, b: float, g: float) -> tuple[float, float]:

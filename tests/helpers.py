@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from hypothesis import strategies as st
 
@@ -73,10 +73,15 @@ def instances(
 
 def twelve_bidder_instance() -> AuctionInstance:
     """Fixed 12-bidder, 8-good instance with bids of one to three goods."""
-    rng = random.Random(2024)
+    return seeded_instance(12, 2024)
+
+
+def seeded_instance(n: int, seed: int) -> AuctionInstance:
+    """An n-bidder, 8-good instance with one to three bids of one to three goods each."""
+    rng = random.Random(seed)
     goods = tuple(f"g{k}" for k in range(1, 9))
     bidders = []
-    for i in range(1, 13):
+    for i in range(1, n + 1):
         bids = tuple(
             Bid(frozenset(rng.sample(goods, rng.randint(1, 3))), rng.uniform(0.1, 1.0))
             for _ in range(rng.randint(1, 3))
@@ -217,8 +222,9 @@ def core_constraints(instance: AuctionInstance) -> list[CoreConstraint]:
     constraint per proper subset of bidders, by mask (the full set is
     vacuous and omitted), then an individual-rationality cap and a
     non-negativity floor for every bidder. The coalition and payer sets are
-    built with the library's expressions, so bounds and slacks sum in the
-    same frozenset iteration order, which is not id order for every set.
+    built with the library's expressions, so they iterate in the same
+    order; bounds and slacks add over them in ascending id order
+    (``sequential_sum``), as the library does.
     """
     ids = instance.bidder_ids()
     n = instance.n
@@ -228,7 +234,7 @@ def core_constraints(instance: AuctionInstance) -> list[CoreConstraint]:
     constraints = []
     for mask in range((1 << n) - 1):
         coalition = frozenset(ids[i] for i in range(n) if mask >> i & 1)
-        bound = table[mask] - sum(realized[i - 1] for i in coalition)
+        bound = table[mask] - sequential_sum(realized[i - 1] for i in sorted(coalition))
         constraints.append(CoreConstraint("coalition", coalition, everyone - coalition, bound))
     for i in ids:
         single = frozenset({i})
@@ -242,7 +248,19 @@ def slack(constraint: CoreConstraint, payments: Sequence[float]) -> float:
     if constraint.kind == "ir":
         (payer,) = constraint.payers
         return constraint.bound - payments[payer - 1]
-    return sum(payments[i - 1] for i in constraint.payers) - constraint.bound
+    return sequential_sum(payments[i - 1] for i in sorted(constraint.payers)) - constraint.bound
+
+
+def sequential_sum(values: Iterable[float]) -> float:
+    """The values added one at a time, in the order given, from 0.0.
+
+    Unlike ``sum()``, which compensates its rounding since CPython 3.12,
+    this rounds alike on every interpreter.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def realized_welfare(instance: AuctionInstance, coalition) -> float:
