@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import pathlib
 import re
 import shlex
@@ -643,6 +644,47 @@ class TestRegionMapBytes:
         assert run(capsys, *argv, "--svg", str(path)) == (0, "", "")
         svg = path.read_text(encoding="utf-8")
         assert svg == render_region_map_svg(region_map(ReferenceRule.VCG, 1.0, 40))
+
+    def test_svg_to_dev_null(self, capsys, tmp_path):
+        # /dev/null cannot be truncated, and only a regular file needs to be.
+        csv_path = tmp_path / "map.csv"
+        argv = ("region-map", "--rule", "vcg", "--resolution", "5", "--out", str(csv_path))
+        assert run(capsys, *argv, "--svg", os.devnull) == (0, "", "")
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_svg_to_a_pipe(self, tmp_path, to_file):
+        # Without --out the CSV goes to the same pipe, and all of it before the SVG.
+        argv = ["region-map", "--rule", "vcg", "--resolution", "40"]
+        out = ["--out", str(tmp_path / "map.csv")] if to_file else []
+        src = pathlib.Path(coreselect.cli.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-m", "coreselect.cli", *argv, *out, "--svg", "/dev/stdout"],
+            env={"PYTHONPATH": str(src)},
+            capture_output=True,
+            check=True,
+        )
+        svg_path = tmp_path / "map.svg"
+        assert main([*argv, "--out", str(tmp_path / "expected.csv"), "--svg", str(svg_path)]) == 0
+        csv = b"" if to_file else (tmp_path / "expected.csv").read_bytes()
+        assert (done.stdout, done.stderr) == (csv + svg_path.read_bytes(), b"")
+
+    def test_files_are_written_in_blocks(self, tmp_path):
+        # Each file is written in 64 KiB blocks, not in blocks sized from the
+        # file system's, often 4 KiB: about one write call per block.
+        def write_calls():
+            text = pathlib.Path("/proc/self/io").read_text(encoding="ascii")
+            return int(re.search(r"^syscw: (\d+)$", text, re.M).group(1))
+
+        try:
+            before = write_calls()
+        except OSError:
+            pytest.skip("/proc/self/io cannot be read")
+        paths = tmp_path / "map.csv", tmp_path / "map.svg"
+        argv = ["region-map", "--rule", "vcg", "--resolution", "200"]
+        assert main([*argv, "--out", str(paths[0]), "--svg", str(paths[1])]) == 0
+        calls = write_calls() - before
+        bound = sum(2 * math.ceil(path.stat().st_size / (1 << 16)) + 4 for path in paths)
+        assert calls <= bound, (calls, bound)
 
     def test_writers_stream_to_the_files(self, tmp_path):
         # Both writers hand each run to the file as they reach it, so the
