@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import AuctionInstance, LlgBidProfile
+from .model import AuctionInstance, LlgBidProfile, id_order_sums
 
 CORE_TOLERANCE = 1e-9  # times the instance's ``scale``, its largest bid
 
@@ -59,22 +59,21 @@ def core_violations(
 
     Every proper blocking coalition is checked, by mask, then each bidder's
     rationality cap and non-negativity floor; a constraint object is built
-    only for a violated condition. Each bound and slack reads its sums of
-    accepted bids and of payments from ``_subset_sums``, so every sum adds
-    its members one at a time in ascending id order. A payer sum that
-    overflows to -inf is rejected, so every returned slack is finite.
+    only for a violated condition. Each bound is the coalition's entry of
+    ``instance.lost_welfare`` and each payer sum comes from ``id_order_sums``,
+    so every sum adds its members one at a time in ascending id order. A
+    payer sum that overflows to -inf is rejected, so every returned slack is
+    finite.
     """
     values = _payment_values(payments, instance.n)
     n = instance.n
     full = (1 << n) - 1
-    table = instance.coalition_values
-    realized = instance.realized
-    realized_sums = _subset_sums(realized)
-    paid_sums = _subset_sums(values)
+    lost = instance.lost_welfare
+    paid_sums = id_order_sums(values)
     tol = CORE_TOLERANCE * instance.scale
     violations = []
     for mask in range(full):
-        bound = table[mask] - realized_sums[mask]
+        bound = lost[mask]
         slack = paid_sums[full ^ mask] - bound
         if slack < -tol:
             coalition, payers = _coalition_and_payers(n, mask)
@@ -82,7 +81,7 @@ def core_violations(
                 raise ValueError(f"the sum of the payments of bidders {sorted(payers)} overflows")
             constraint = CoreConstraint("coalition", coalition, payers, bound)
             violations.append(CoreViolation(constraint, slack))
-    for i, (cap, paid) in enumerate(zip(realized, values), start=1):
+    for i, (cap, paid) in enumerate(zip(instance.realized, values), start=1):
         slack = cap - paid
         if slack < -tol:
             single = frozenset({i})
@@ -91,19 +90,6 @@ def core_violations(
             single = frozenset({i})
             violations.append(CoreViolation(CoreConstraint("nonneg", single, single, 0.0), paid))
     return violations
-
-
-def _subset_sums(values: Sequence[float]) -> list[float]:
-    """The sum of ``values[i]`` over the set bits i of each mask, indexed by mask.
-
-    Doubling the table once per value adds each mask's members one at a
-    time in ascending index order, starting from 0.0, on every interpreter
-    (``sum()`` compensates its rounding since CPython 3.12).
-    """
-    sums = [0.0]
-    for value in values:
-        sums += [total + value for total in sums]
-    return sums
 
 
 def _coalition_and_payers(n: int, mask: int) -> tuple[frozenset[int], frozenset[int]]:

@@ -104,7 +104,7 @@ class _solved_once:
     """A value computed on first access and kept in the instance's ``__dict__``.
 
     ``functools.cached_property`` without its lock, which CPython 3.11
-    takes on every first access; an instance fills up to four of these. The
+    takes on every first access; an instance fills up to five of these. The
     stored value shadows this non-data descriptor from then on.
     """
 
@@ -129,10 +129,10 @@ class AuctionInstance:
     Construction reads each bid once: it checks it, and builds from the
     bids each bidder's candidate awards (``options``), the largest bid
     (``scale``) and the goods-mask program's rows. The efficient
-    allocation, the realized bid values, the coalition value table and
-    both Shapley payoff vectors are solved on first use and kept on the
-    instance; every payment rule and the core constraints read them from
-    there.
+    allocation, the realized bid values, the coalition value table, each
+    coalition's lost welfare and both Shapley payoff vectors are solved on
+    first use and kept on the instance; every payment rule and the core
+    constraints read them from there.
     """
 
     goods: tuple[str, ...]
@@ -208,6 +208,16 @@ class AuctionInstance:
         return tuple(coalition_value_table(self))
 
     @_solved_once
+    def lost_welfare(self) -> tuple[float, ...]:
+        """Each coalition's value minus its members' accepted bids, by mask, solved once.
+
+        The entry of a blocking coalition is the core's bound on what everyone
+        else must pay together; the entry of everyone but bidder i is i's VCG
+        payment. The accepted bids are added by ``id_order_sums``.
+        """
+        return tuple(v - a for v, a in zip(self.coalition_values, id_order_sums(self.realized)))
+
+    @_solved_once
     def shapley_values(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Shapley payoffs without and with the auctioneer as a player, solved once."""
         return _shapley_payoffs(self.n, self.coalition_values)
@@ -273,6 +283,19 @@ def _bidder_options(bidder: Bidder, good_index: dict[str, int]):
         options.append((mask, value, bundle))
     options.append((0, 0.0, frozenset()))
     return tuple(options)
+
+
+def id_order_sums(values: Iterable[float]) -> list[float]:
+    """The sum of ``values[i]`` over the set bits i of each mask, indexed by mask.
+
+    Doubling the table once per value adds each mask's members one at a
+    time in ascending index order, starting from 0.0, on every interpreter
+    (``sum()`` compensates its rounding since CPython 3.12).
+    """
+    sums = [0.0]
+    for value in values:
+        sums += [total + value for total in sums]
+    return sums
 
 
 def _shapley_payoffs(

@@ -43,20 +43,15 @@ def first_price(instance: AuctionInstance) -> tuple[float, ...]:
 
 
 def vcg(instance: AuctionInstance) -> tuple[float, ...]:
-    """Each bidder pays the externality she imposes on the others."""
+    """Each bidder pays the externality she imposes on the others.
+
+    That is the lost welfare of everyone else (``AuctionInstance.lost_welfare``),
+    whose accepted bids are added in id order as the coalition table adds
+    welfares, so a loser pays exactly 0.0.
+    """
     full = (1 << instance.n) - 1
-    table = instance.coalition_values
-    realized = instance.realized
-    values = []
-    for i in range(instance.n):
-        # The others' accepted values, added one at a time in id order as the
-        # coalition table adds welfares, so a loser pays exactly 0.0; sum()
-        # compensates its rounding since Python 3.12, and would not match.
-        others_realized = 0.0
-        for value in realized[:i] + realized[i + 1 :]:
-            others_realized += value
-        values.append(table[full & ~(1 << i)] - others_realized)
-    return tuple(values)
+    lost = instance.lost_welfare
+    return tuple(lost[full ^ 1 << i] for i in range(instance.n))
 
 
 def shapley_payoffs(instance: AuctionInstance, with_auctioneer: bool = False) -> tuple[float, ...]:

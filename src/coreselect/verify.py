@@ -91,9 +91,11 @@ def closed_form_table_suite(samples_per_case: int = 1000, seed: int = DEFAULT_SE
                 e1, e2, _ = reference_point(instance, rule)
                 worst[rule] = max(worst[rule], abs(p1 - e1), abs(p2 - e2))
         for rule in ReferenceRule:
+            # A cell that drew no profile compared nothing, so it fails.
             result.check(
-                worst[rule] <= EQUIVALENCE_TOLERANCE,
-                lambda: f"{rule.value} in {case.value}: max deviation {worst[rule]:.3e}",
+                samples_per_case > 0 and worst[rule] <= EQUIVALENCE_TOLERANCE,
+                lambda: f"{rule.value} in {case.value}: "
+                + (f"max deviation {worst[rule]:.3e}" if samples_per_case > 0 else "no draw compared"),
             )
     return result
 
@@ -209,11 +211,13 @@ def threshold_table_suite(samples_per_case: int = 2500, seed: int = DEFAULT_SEED
     result = SuiteResult("region threshold table", "cells")
     for check in check_threshold_table(samples_per_case, seed):
         cell, example = check.cell, check.exact_example
+        # A cell that compared no draw fails, and has no example to show.
         result.check(
-            check.exact_mismatches == 0,
+            check.checked > 0 and check.exact_mismatches == 0,
             lambda: f"exact threshold failed: {cell.rule.value} {cell.case.value} "
             f"inequality {cell.inequality} "
-            f"({check.exact_mismatches}/{check.checked}, e.g. a={example.a:.4f} b={example.b:.4f})",
+            + (f"({check.exact_mismatches}/{check.checked}, e.g. a={example.a:.4f} b={example.b:.4f})"
+               if check.checked else "(no draw compared)"),
         )
         if check.stated_mismatches and cell.note:
             result.notes.append(

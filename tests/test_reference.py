@@ -28,7 +28,7 @@ from coreselect import (
 )
 from coreselect.reference import ReferenceRule, auctioneer_payoff_by_enumeration
 from coreselect.verify import random_instance
-from helpers import instances, vcg_cancellation_instance
+from helpers import instances, seeded_instance, sequential_sum, vcg_cancellation_instance
 
 TOL = 1e-9
 
@@ -75,6 +75,23 @@ class TestVcg:
             for bidder_id, payment in zip(instance.bidder_ids(), vcg(instance)):
                 if not allocation.bundle_for(bidder_id):
                     assert payment == 0.0, (instance, bidder_id)
+
+    def test_equals_the_single_payer_core_bound(self):
+        # Bidder i's payment is the bound of the blocking coalition of everyone
+        # else, bit for bit, so no single-payer constraint is missed at VCG.
+        rng = random.Random(5)
+        drawn = [random_instance(rng, max_bidders=8) for _ in range(1000)]
+        for instance in drawn + [seeded_instance(n, n) for n in range(1, 13)]:
+            full = (1 << instance.n) - 1
+            realized = instance.realized
+            payments = vcg(instance)
+            for i, payment in enumerate(payments):
+                others = realized[:i] + realized[i + 1 :]
+                bound = instance.coalition_values[full ^ 1 << i] - sequential_sum(others)
+                assert payment.hex() == bound.hex(), (instance, i)
+            for violation in core_violations(instance, payments):
+                constraint = violation.constraint
+                assert constraint.kind != "coalition" or len(constraint.payers) > 1, violation
 
     def test_loser_whose_entry_cancels_only_term_by_term(self):
         instance = vcg_cancellation_instance()
@@ -363,7 +380,9 @@ class TestSolvedOnce:
             for rule in ReferenceRule:
                 point = reference_point(instance, rule)
                 assert (point, core_violations(instance, point)) == expected[rule]
-        cached = ("allocation", "realized", "coalition_values", "shapley_values", "options")
+        cached = (
+            "allocation", "realized", "coalition_values", "lost_welfare", "shapley_values", "options"
+        )
         assert all(name in vars(instance) for name in cached)
         assert instance == fresh()
         assert hash(instance) == hash(fresh())

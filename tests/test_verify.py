@@ -1,7 +1,8 @@
 """Branches of the verify suites that seeded runs do not reach.
 
-Each test rebinds one of the suite's own module globals, so the suite runs
-as it is and only its input changes.
+Each test either rebinds one of the suite's own module globals, so the
+suite runs as it is and only its input changes, or asks a suite for no
+draws at all.
 """
 
 import dataclasses
@@ -10,6 +11,7 @@ import pytest
 
 from coreselect import BoundaryProximityError, CaseLabel, LlgBidProfile
 from coreselect import verify
+from coreselect.llg import THRESHOLD_TABLE
 from coreselect.reference import ReferenceRule as R
 
 
@@ -75,3 +77,21 @@ def test_vcg_derivative_outside_zero_and_half_fails_the_oracle(monkeypatch):
     assert (result.ok, result.passed, result.total) == (False, 12, 12)
     assert result.notes == ["vcg derivatives outside {0, 1/2}: [0.25]"]
     assert result.summary() == "projection derivative oracle: 12/12 checks FAILED"
+
+
+def test_closed_form_cells_that_compared_nothing_fail():
+    result = verify.closed_form_table_suite(0)
+    notes = [f"{rule.value} in {case.value}: no draw compared" for case in CaseLabel for rule in R]
+    assert (result.ok, result.passed, result.total, result.notes) == (False, 0, 24, notes)
+    assert result.summary() == "closed-form reference table: 0/24 cells FAILED"
+
+
+def test_threshold_cells_that_compared_nothing_fail():
+    result = verify.threshold_table_suite(0)
+    notes = [
+        f"exact threshold failed: {cell.rule.value} {cell.case.value} "
+        f"inequality {cell.inequality} (no draw compared)"
+        for cell in THRESHOLD_TABLE
+    ]
+    assert (result.ok, result.passed, result.total, result.notes) == (False, 0, 16, notes)
+    assert result.summary() == "region threshold table: 0/16 cells FAILED"
