@@ -22,7 +22,7 @@ import argparse
 import contextlib
 import functools
 import io
-import json
+import math
 import os
 import stat
 import sys
@@ -311,17 +311,38 @@ def _cmd_verify_table(args: argparse.Namespace) -> int:
 
 
 def _violations_json(found: list[CoreViolation]) -> str:
-    payload = [
-        {
-            "kind": violation.constraint.kind,
-            "coalition": sorted(violation.constraint.coalition),
-            "payers": sorted(violation.constraint.payers),
-            "bound": violation.constraint.bound,
-            "slack": violation.slack,
-        }
-        for violation in found
-    ]
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """The report ``json.dumps(payload, indent=2, allow_nan=False) + "\\n"`` gives.
+
+    json never uses its C encoder when ``indent`` is set, so the text is
+    built here: a kind is one of three plain words, ids are ints, and
+    ``bound`` and ``slack`` print by ``float.__repr__``, as json prints a
+    float. A number that is not finite is a ``ValueError``, as with
+    ``allow_nan=False``.
+    """
+    if not found:
+        return "[]\n"
+    entries = []
+    for violation in found:
+        constraint = violation.constraint
+        bound, slack = constraint.bound, violation.slack
+        if not (math.isfinite(bound) and math.isfinite(slack)):
+            raise ValueError(
+                f"Out of range float values are not JSON compliant: {bound!r}, {slack!r}"
+            )
+        entries.append(
+            f'  {{\n    "kind": "{constraint.kind}",\n'
+            f'    "coalition": {_json_ids(constraint.coalition)},\n'
+            f'    "payers": {_json_ids(constraint.payers)},\n'
+            f'    "bound": {bound!r},\n    "slack": {slack!r}\n  }}'
+        )
+    return "[\n" + ",\n".join(entries) + "\n]\n"
+
+
+def _json_ids(ids: frozenset[int]) -> str:
+    """The sorted ids as a JSON array at ``_violations_json``'s depth."""
+    if not ids:
+        return "[]"
+    return "[\n      " + ",\n      ".join(map(str, sorted(ids))) + "\n    ]"
 
 
 def _cmd_core_check(args: argparse.Namespace) -> int:

@@ -8,7 +8,8 @@ from the layer of the coalition without its highest bidder, and two walks
 use it: ``winner_determination`` along the chain of bidders 1..n, for the
 efficient allocation and its tie-broken assignment, and
 ``coalition_value_table`` over every bidder coalition, for the table that
-``coalitional_value`` reads. Each layer holds only the goods masks it is
+``coalitional_value`` reads; the table relaxes the one entry it reads of
+each coalition with bidder n in place. Each layer holds only the goods masks it is
 ever read at (``_program_rows``), one entry per slot of its highest
 bidder's read set, which leaves every entry that is read bit-identical to
 relaxing all 2**m masks. Welfares within ``TIE_TOLERANCE`` times the
@@ -18,6 +19,7 @@ window scales with them.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -306,24 +308,36 @@ def _shapley_payoffs(
     Bidder i's payoff sums, over the coalitions S without i in mask order,
     the weight of |S| times i's marginal value table[S + i] - table[S]. The
     auctioneer, as player n + 1, zeroes every coalition without her, which
-    shifts the weights to those of |S| + 1 others among n + 1 players.
+    shifts the weights to those of |S| + 1 others among n + 1 players. The
+    masks without bit i come in blocks of 2**i, one at each multiple of
+    2**(i + 1), so the loops visit only those, and read each weight by mask
+    (``_shapley_mask_weights``).
     """
-    plain = SHAPLEY_WEIGHTS[n]
-    with_auctioneer = SHAPLEY_WEIGHTS[n + 1][1:]
+    plain, with_auctioneer = _shapley_mask_weights(n)
     without, with_ = [], []
     for i in range(n):
         bit = 1 << i
         total = total_with = 0.0
-        for mask in range(1 << n):
-            if mask & bit:
-                continue
-            size = mask.bit_count()
-            marginal = table[mask | bit] - table[mask]
-            total += plain[size] * marginal
-            total_with += with_auctioneer[size] * marginal
+        for base in range(0, 1 << n, bit << 1):
+            for mask in range(base, base + bit):
+                marginal = table[mask | bit] - table[mask]
+                total += plain[mask] * marginal
+                total_with += with_auctioneer[mask] * marginal
         without.append(total)
         with_.append(total_with)
     return tuple(without), tuple(with_)
+
+
+@functools.cache
+def _shapley_mask_weights(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Both variants' Shapley weights of each coalition of n bidders, by mask.
+
+    Every mask but the full one, which never lacks a bidder; built once per n.
+    """
+    plain = SHAPLEY_WEIGHTS[n]
+    with_auctioneer = SHAPLEY_WEIGHTS[n + 1][1:]
+    sizes = [mask.bit_count() for mask in range((1 << n) - 1)]
+    return tuple(plain[size] for size in sizes), tuple(with_auctioneer[size] for size in sizes)
 
 
 def winner_determination(instance: AuctionInstance) -> Allocation:
@@ -379,28 +393,57 @@ def coalition_value_table(instance: AuctionInstance) -> list[float]:
     Each entry is the welfare of the coalition's tie-broken assignment,
     with the tie tolerance of the whole instance, so it is the welfare
     ``winner_determination`` would find for the coalition alone. The
-    goods-mask program builds every coalition, depth first, so only the
-    layers on the current path, at most n + 1, are live.
+    goods-mask program builds every coalition without bidder n, depth
+    first: a coalition taken off the stack builds and pushes each child
+    that adds one bidder above its highest and below bidder n, so at most
+    n + 1 layers are live. A coalition with bidder n is never extended and its
+    layer is read only at slot 0, where each of bidder n's rows is one
+    (rest, 0) pair. So that entry is relaxed in place from the layer of the
+    coalition without bidder n, by ``_relaxed``'s rule, and where its
+    welfare ties, that entry and its bound make the one-slot layer
+    ``_tie_broken`` reads.
     """
     n = instance.n
     full = (1 << instance.m) - 1
     slots, count, cuts, rows = instance._program
     tol = TIE_TOLERANCE * instance.scale
     table = [0.0] * (1 << n)
-    empty = ([0.0] * count, [-math.inf] * count, None, None)
-    # Entries: coalition mask, index of the next bidder to add, its layer.
-    stack = [(0, 0, empty)] if n else []
+    if not n:
+        return table
+    last = n - 1
+    top = 1 << last
+    # Bidder n's rows as (value, rest slot): each relaxes slot 0 alone.
+    leaf_rows = [(value, rest) for value, ((rest, _),) in rows[last]]
+    # Entries: coalition mask, index of the lowest bidder it may add, its layer.
+    stack = [(0, 0, ([0.0] * count, [-math.inf] * count, None, None))]
     while stack:
-        coalition, h, layer = stack.pop()
-        child = coalition | 1 << h
-        child_layer = _relaxed(layer, h, cuts[h], rows[h])
-        if h < n - 1:
-            stack.append((coalition, h + 1, layer))
+        coalition, low, layer = stack.pop()
+        for h in range(low, last):
+            child = coalition | 1 << h
+            child_layer = _relaxed(layer, h, cuts[h], rows[h])
             stack.append((child, h + 1, child_layer))
-        # Slot 0 holds the full goods mask.
-        table[child] = best = child_layer[0][0]
-        if _ties(best, child_layer[1][0], tol):
-            table[child] = _tie_broken(instance.options, slots, child_layer, full, tol)[0]
+            # Slot 0 holds the full goods mask.
+            table[child] = best = child_layer[0][0]
+            if _ties(best, child_layer[1][0], tol):
+                table[child] = _tie_broken(instance.options, slots, child_layer, full, tol)[0]
+        # The coalition with bidder n added, relaxed in place. A bound never
+        # exceeds its best, so a candidate equal to the best needs no case.
+        values, lower = layer[0], layer[1]
+        best, bound = values[0], lower[0]
+        for value, rest in leaf_rows:
+            candidate = values[rest] + value
+            if candidate > best:
+                below = lower[rest] + value
+                bound = best if best > below else below
+                best = candidate
+            elif candidate > bound:
+                bound = candidate
+        leaf = coalition | top
+        table[leaf] = best
+        if _ties(best, bound, tol):
+            # The leaf's layer as _relaxed would build it: slot 0 is its read set.
+            leaf_layer = ([best], [bound], last, layer)
+            table[leaf] = _tie_broken(instance.options, slots, leaf_layer, full, tol)[0]
     return table
 
 

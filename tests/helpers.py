@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import math
 import random
 from fractions import Fraction
 from math import factorial
@@ -23,8 +25,14 @@ from coreselect import (
     projection_derivative,
 )
 from coreselect.cli import _SVG_PALETTE, SVG_SIZE
-from coreselect.core import CORE_TOLERANCE
-from coreselect.model import TIE_TOLERANCE
+from coreselect.core import CORE_TOLERANCE, CoreViolation
+from coreselect.model import (
+    SHAPLEY_WEIGHTS,
+    TIE_TOLERANCE,
+    _relaxed,
+    _tie_broken,
+    _ties,
+)
 
 
 def bounded_floats(low: float = 0.0, high: float = 2.0):
@@ -215,6 +223,63 @@ def exhaustive_best(options: Sequence, tol: float) -> tuple[float, list[frozense
     return found
 
 
+def shapley_payoffs_per_mask(
+    n: int, table: Sequence[float]
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Both Shapley payoff vectors, one mask at a time with a skip branch.
+
+    The oracle for ``model._shapley_payoffs``: bidder i's payoff sums, over
+    the coalitions S without i in mask order, the weight of |S| times i's
+    marginal value table[S + i] - table[S], so every add comes in the same
+    order as the engine's.
+    """
+    plain = SHAPLEY_WEIGHTS[n]
+    with_auctioneer = SHAPLEY_WEIGHTS[n + 1][1:]
+    without, with_ = [], []
+    for i in range(n):
+        bit = 1 << i
+        total = total_with = 0.0
+        for mask in range(1 << n):
+            if mask & bit:
+                continue
+            size = mask.bit_count()
+            marginal = table[mask | bit] - table[mask]
+            total += plain[size] * marginal
+            total_with += with_auctioneer[size] * marginal
+        without.append(total)
+        with_.append(total_with)
+    return tuple(without), tuple(with_)
+
+
+def coalition_value_table_by_relaxed(instance: AuctionInstance) -> list[float]:
+    """``model.coalition_value_table`` with every coalition built by ``_relaxed``.
+
+    The oracle for the engine's walk, which relaxes bidder n's coalitions
+    in place: here each of them gets its own layer from ``_relaxed``, as
+    every other coalition does, and its entry is read off that layer.
+    """
+    n = instance.n
+    full = (1 << instance.m) - 1
+    slots, count, cuts, rows = instance._program
+    tol = TIE_TOLERANCE * instance.scale
+    table = [0.0] * (1 << n)
+    empty = ([0.0] * count, [-math.inf] * count, None, None)
+    # Entries: coalition mask, index of the next bidder to add, its layer.
+    stack = [(0, 0, empty)] if n else []
+    while stack:
+        coalition, h, layer = stack.pop()
+        child = coalition | 1 << h
+        child_layer = _relaxed(layer, h, cuts[h], rows[h])
+        if h < n - 1:
+            stack.append((coalition, h + 1, layer))
+            stack.append((child, h + 1, child_layer))
+        # Slot 0 holds the full goods mask.
+        table[child] = best = child_layer[0][0]
+        if _ties(best, child_layer[1][0], tol):
+            table[child] = _tie_broken(instance.options, slots, child_layer, full, tol)[0]
+    return table
+
+
 def core_constraints(instance: AuctionInstance) -> list[CoreConstraint]:
     """All core conditions for the instance's efficient allocation.
 
@@ -241,6 +306,21 @@ def core_constraints(instance: AuctionInstance) -> list[CoreConstraint]:
         constraints.append(CoreConstraint("ir", single, single, realized[i - 1]))
         constraints.append(CoreConstraint("nonneg", single, single, 0.0))
     return constraints
+
+
+def violations_json_by_dumps(found: Sequence[CoreViolation]) -> str:
+    """``core-check``'s report by ``json.dumps``: the oracle for ``cli._violations_json``."""
+    payload = [
+        {
+            "kind": violation.constraint.kind,
+            "coalition": sorted(violation.constraint.coalition),
+            "payers": sorted(violation.constraint.payers),
+            "bound": violation.constraint.bound,
+            "slack": violation.slack,
+        }
+        for violation in found
+    ]
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def slack(constraint: CoreConstraint, payments: Sequence[float]) -> float:

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import re
 import shlex
 import subprocess
@@ -29,7 +30,9 @@ from coreselect import (
     winner_determination,
 )
 import coreselect.cli
-from coreselect.cli import main, render_region_map_svg
+from coreselect.cli import _violations_json, main, render_region_map_svg
+from coreselect.core import CoreConstraint, CoreViolation
+from coreselect.verify import random_instance
 from helpers import (
     WRITER_GRIDS,
     assert_same_text,
@@ -38,6 +41,7 @@ from helpers import (
     twelve_bidder_instance,
     twelve_bidder_payments,
     vcg_cancellation_instance,
+    violations_json_by_dumps,
 )
 
 
@@ -892,6 +896,62 @@ class TestCoreCheck:
         code, out, _ = run(capsys, "core-check", "--instance", str(path), "--payments", *payments)
         assert code == 1
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CORE_CHECK_TWELVE_BIDDERS_SHA256
+
+
+class TestViolationsJson:
+    """``core-check``'s report is the text ``json.dumps(payload, indent=2, allow_nan=False)`` gives."""
+
+    @staticmethod
+    def assert_as_dumps(found):
+        assert _violations_json(found) == violations_json_by_dumps(found)
+
+    def test_no_violations(self):
+        assert _violations_json([]) == violations_json_by_dumps([]) == "[]\n"
+
+    def test_empty_coalition_and_floors(self):
+        # Negative payments: the empty coalition's payers, everyone, pay
+        # less than its bound 0.0, and bidders 1 and 2 break their floors.
+        found = core_violations(llg_instance(0.4, 0.5, 0.8), (-1.0, -1.0, 0.0))
+        assert found[0].constraint.coalition == frozenset()
+        assert [v.constraint.kind for v in found][-2:] == ["nonneg", "nonneg"]
+        self.assert_as_dumps(found)
+        assert '"coalition": [],' in _violations_json(found)
+
+    def test_rationality_caps(self):
+        found = core_violations(llg_instance(0.4, 0.5, 0.8), (1.0, 1.0, 1.0))
+        assert {v.constraint.kind for v in found} == {"ir"}
+        self.assert_as_dumps(found)
+
+    def test_negative_zero(self):
+        single = frozenset({1})
+        found = [
+            CoreViolation(CoreConstraint("nonneg", single, single, -0.0), -0.0),
+            CoreViolation(CoreConstraint("coalition", frozenset(), frozenset({1, 2}), 0.0), -0.0),
+        ]
+        self.assert_as_dumps(found)
+        assert '"bound": -0.0,' in _violations_json(found)
+
+    def test_random_instances_and_payments(self):
+        rng = random.Random(35)
+        kinds = set()
+        empty_coalitions = 0
+        for _ in range(1000):
+            instance = random_instance(rng, max_bidders=8)
+            payments = [rng.uniform(-0.2, 1.0) for _ in range(instance.n)]
+            found = core_violations(instance, payments)
+            kinds.update(v.constraint.kind for v in found)
+            empty_coalitions += sum(not v.constraint.coalition for v in found)
+            self.assert_as_dumps(found)
+        assert kinds == {"coalition", "ir", "nonneg"}
+        assert empty_coalitions == 36
+
+    @pytest.mark.parametrize("bound, slack", [(math.inf, -1.0), (0.5, math.nan), (-math.inf, 0.0)])
+    def test_numbers_that_are_not_finite(self, bound, slack):
+        single = frozenset({1})
+        found = [CoreViolation(CoreConstraint("ir", single, single, bound), slack)]
+        for write in (_violations_json, violations_json_by_dumps):
+            with pytest.raises(ValueError):
+                write(found)
 
 
 # 200,000 bytes of brackets: json.loads gives up on them with a RecursionError

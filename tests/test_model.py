@@ -29,11 +29,14 @@ from coreselect.reference import ReferenceRule
 from coreselect.verify import random_instance
 from helpers import (
     bid_value_from_bids,
+    coalition_value_table_by_relaxed,
     exhaustive_best,
     general_auction_instance,
     instances,
     largest_bid,
     realized_welfare,
+    seeded_instance,
+    shapley_payoffs_per_mask,
     tie_tolerance,
     twelve_bidder_instance,
 )
@@ -311,19 +314,23 @@ class TestProgramRows:
     @settings(max_examples=100, deadline=None)
     @given(instance=instances(max_bidders=7, max_goods=5))
     def test_walks_size_each_layer_to_its_read_set(self, instance):
+        n = instance.n
         _, count, cuts, rows = instance._program
         below = [count, *(cut.stop for cut in cuts)]
         pairs = [sum(len(row_pairs) for _, row_pairs in bidder_rows) for bidder_rows in rows]
+        # Each of bidder n's rows is one pair, and the table relaxes it in
+        # place for each of bidder n's coalitions, with no _relaxed call.
+        assert all(len(row_pairs) == 1 for _, row_pairs in rows[-1])
         for walk, calls_per_bidder in (
-            (winner_determination, [1] * instance.n),
-            (coalition_value_table, [2**h for h in range(instance.n)]),
+            (winner_determination, [1] * n),
+            (coalition_value_table, [2**h if h < n - 1 else 0 for h in range(n)]),
         ):
             calls = recorded_relaxations(walk, instance)
-            assert [sum(h == k for h, _, _, _ in calls) for k in range(instance.n)] == (
-                calls_per_bidder
-            )
+            assert [sum(h == k for h, _, _, _ in calls) for k in range(n)] == calls_per_bidder
             # The relaxation count of ROADMAP item 1: sum(2**h * pairs_h)
-            # for the table, one call per bidder for the chain.
+            # for the table, one call per bidder for the chain. The table's
+            # in-place relaxations of bidder n's rows are checked only by
+            # TestEngineLoopsMatchTheirOracles, bit for bit.
             assert sum(relaxed for _, _, _, relaxed in calls) == sum(
                 c * p for c, p in zip(calls_per_bidder, pairs)
             )
@@ -357,6 +364,23 @@ def recorded_relaxations(walk, instance) -> list[tuple[int, int, int, int]]:
     finally:
         model._relaxed = relaxed
     return calls
+
+
+def recorded_tie_breaks(walk, instance) -> list[tuple[int, int]]:
+    """Run a walk with ``model._tie_broken`` recorded: per call, the layer's bidder and size."""
+    tie_broken = model._tie_broken
+    calls = []
+
+    def recorded(options, slots, layer, full, tol):
+        calls.append((layer[2], len(layer[0])))
+        return tie_broken(options, slots, layer, full, tol)
+
+    model._tie_broken = recorded
+    try:
+        walk(instance)
+    finally:
+        model._tie_broken = tie_broken
+    return sorted(calls)
 
 
 class TestCoalitionValueTableExact:
@@ -479,6 +503,87 @@ class TestWinnerDeterminationExact:
         assert table[0b01] <= table[0b11] + tie_tolerance(instance)
 
 
+def hexes(values) -> list[str]:
+    return [value.hex() for value in values]
+
+
+class TestEngineLoopsMatchTheirOracles:
+    """The table walk and the Shapley pass equal the loops they replaced, in ``float.hex``.
+
+    The oracles in ``tests/helpers.py`` build every coalition with
+    ``_relaxed`` and visit every mask with a skip branch.
+    """
+
+    @staticmethod
+    def assert_same_shapley_bits(n, table):
+        payoffs = model._shapley_payoffs(n, tuple(table))
+        expected = shapley_payoffs_per_mask(n, tuple(table))
+        assert [hexes(vector) for vector in payoffs] == [hexes(vector) for vector in expected]
+
+    @classmethod
+    def assert_matches(cls, instance):
+        table = coalition_value_table(instance)
+        assert hexes(table) == hexes(coalition_value_table_by_relaxed(instance))
+        cls.assert_same_shapley_bits(instance.n, table)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_shapley_on_random_tables(self, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            table = [rng.choice((-1, 1)) * 10 ** rng.uniform(-5, 5) for _ in range(1 << n)]
+            self.assert_same_shapley_bits(n, table)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_seeded_instances(self, n):
+        for seed in range(3):
+            self.assert_matches(seeded_instance(n, seed))
+
+    @settings(max_examples=100, deadline=None)
+    @given(instance=tie_heavy_instances())
+    def test_tie_heavy_bids(self, instance):
+        self.assert_matches(instance)
+
+    def test_tie_only_at_a_coalition_with_bidder_n(self):
+        # 0.25 + 0.5 == 0.75 exactly, so the locals and the global bidder
+        # tie in the grand coalition and nowhere else.
+        instance = llg_instance(0.25, 0.5, 0.75)
+        self.assert_matches(instance)
+        # Bidder n's one-slot layer goes to the tie-break, built in place.
+        assert recorded_tie_breaks(coalition_value_table, instance) == [(2, 1)]
+        calls = recorded_relaxations(coalition_value_table, instance)
+        assert sorted(h for h, _, _, _ in calls) == [0, 1, 1]
+
+    def test_tie_where_bidder_n_has_no_bids(self):
+        llg = llg_instance(0.25, 0.5, 0.75)
+        instance = AuctionInstance(llg.goods, (*llg.bidders, Bidder(4, ())))
+        assert instance._program[3][3] == []
+        self.assert_matches(instance)
+        # The tie carries over to the grand coalition, with no rows to relax.
+        assert recorded_tie_breaks(coalition_value_table, instance) == [(2, 1), (3, 1)]
+        calls = recorded_relaxations(coalition_value_table, instance)
+        assert [h for h, _, _, _ in calls].count(3) == 0
+
+    @pytest.mark.parametrize("n", range(12))
+    def test_bidder_n_has_no_bids(self, n):
+        instance = seeded_instance(n, n)
+        self.assert_matches(AuctionInstance(instance.goods, (*instance.bidders, Bidder(n + 1, ()))))
+
+    @pytest.mark.parametrize(
+        "bids, ties",
+        [
+            ((), 0),
+            ((Bid(G1, 0.5),), 0),
+            # Two options of equal value: the one coalition ties.
+            ((Bid(G1, 0.5), Bid(BOTH, 0.5)), 1),
+        ],
+    )
+    def test_one_bidder(self, bids, ties):
+        instance = AuctionInstance(("g1", "g2"), (Bidder(1, bids),))
+        self.assert_matches(instance)
+        assert recorded_tie_breaks(coalition_value_table, instance) == [(0, 1)] * ties
+        assert recorded_relaxations(coalition_value_table, instance) == []
+
+
 # Instances with nothing to award: every layer is the one slot of ``full``.
 EDGE_INSTANCES = {
     "no bidders": AuctionInstance(("g1", "g2"), ()),
@@ -513,10 +618,11 @@ class TestEdgeInstances:
         assert allocation.assignment == {i: frozenset() for i in instance.bidder_ids()}
         assert allocation.welfare == 0.0
         TestWinnerDeterminationExact.assert_matches_search(instance)
+        TestEngineLoopsMatchTheirOracles.assert_matches(instance)
         chain = recorded_relaxations(winner_determination, instance)
         assert chain == [(h, 1, 1, 0) for h in range(n)]
         walk = recorded_relaxations(coalition_value_table, instance)
-        assert sorted(walk) == sorted((h, 1, 1, 0) for h in range(n) for _ in range(2**h))
+        assert sorted(walk) == sorted((h, 1, 1, 0) for h in range(n - 1) for _ in range(2**h))
 
     def test_rules_and_core(self, name):
         instance = EDGE_INSTANCES[name]

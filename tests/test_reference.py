@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coreselect.reference
 from coreselect import (
@@ -123,6 +124,28 @@ class TestShapleyPayoffs:
         for with_auctioneer in (False, True):
             assert shapley_payoffs(instance, with_auctioneer)[1] == pytest.approx(
                 0.0, abs=TOL
+            )
+
+
+class TestNullBidderAtFullSize:
+    """Appending a bidder with no bids leaves everyone's price as it was (ROADMAP item 6)."""
+
+    @pytest.mark.parametrize("n", range(12))
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_appended_bidder_without_bids(self, n, seed):
+        instance = seeded_instance(n, seed)
+        # The new bidder is the highest, so the coalition table relaxes each
+        # of its coalitions in place, with no rows.
+        extended = AuctionInstance(instance.goods, (*instance.bidders, Bidder(n + 1, ())))
+        for rule in (first_price, vcg):
+            assert [p.hex() for p in rule(extended)] == [p.hex() for p in (*rule(instance), 0.0)]
+        # Null-player axiom: the new bidder gets nothing and the others keep
+        # their payoffs, up to rounding.
+        for with_auctioneer in (False, True):
+            approx_vector(
+                shapley_payoffs(extended, with_auctioneer),
+                (*shapley_payoffs(instance, with_auctioneer), 0.0),
             )
 
 
