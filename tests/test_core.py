@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import random
@@ -32,8 +33,10 @@ from coreselect.reference import ReferenceRule
 from coreselect.verify import random_instance
 from helpers import (
     bounded_floats,
+    coarse_grid_instance,
     core_constraints,
     core_tolerance,
+    general_auction_instance,
     instances,
     llg_profiles,
     scalable_floats,
@@ -287,6 +290,26 @@ def scaled_violations(violations, factor):
     ]
 
 
+def scaled_instance(instance, factor):
+    """The instance with every bid multiplied by ``factor``."""
+    return AuctionInstance(
+        instance.goods,
+        tuple(
+            Bidder(bidder.id, tuple(Bid(bid.bundle, bid.value * factor) for bid in bidder.bids))
+            for bidder in instance.bidders
+        ),
+    )
+
+
+# The engine at full size: 12 bidders on 8 goods, with exact ties on the coarse grid.
+TWELVE_BIDDER_INSTANCES = {
+    **{f"seeded {seed}": functools.partial(seeded_instance, 12, seed) for seed in range(3)},
+    "general auction": general_auction_instance,
+    "twelve bidders": twelve_bidder_instance,
+    "coarse grid": coarse_grid_instance,
+}
+
+
 def numeric_outcome(profile, rule):
     """``numeric_derivative`` as float bits, or the error it raises."""
     try:
@@ -310,16 +333,27 @@ class TestPowerOfTwoScaling:
             st.lists(scalable_floats(0.0, 5.0), min_size=instance.n, max_size=instance.n)
         )
         factor = 2.0**k
-        scaled = AuctionInstance(
-            instance.goods,
-            tuple(
-                Bidder(bidder.id, tuple(Bid(bid.bundle, bid.value * factor) for bid in bidder.bids))
-                for bidder in instance.bidders
-            ),
-        )
+        scaled = scaled_instance(instance, factor)
         found = core_violations(scaled, [paid * factor for paid in payments])
         expected = scaled_violations(core_violations(instance, payments), factor)
         assert violation_bits(found) == violation_bits(expected)
+
+    @pytest.mark.parametrize("k", [-200, 200])
+    @pytest.mark.parametrize("name", TWELVE_BIDDER_INSTANCES)
+    def test_twelve_bidders(self, name, k):
+        # The table, the allocation and all six rules' vectors, in float bits.
+        def outputs(instance, factor):
+            allocation = instance.allocation
+            vectors = [
+                instance.coalition_values,
+                (allocation.welfare,),
+                *(reference_point(instance, rule) for rule in ReferenceRule),
+            ]
+            return allocation.assignment, [[(x * factor).hex() for x in v] for v in vectors]
+
+        instance = TWELVE_BIDDER_INSTANCES[name]()
+        factor = 2.0**k
+        assert outputs(scaled_instance(instance, factor), 1.0) == outputs(instance, factor)
 
     @settings(max_examples=40, deadline=None)
     @given(profile=llg_profiles(floats=scalable_floats), k=st.integers(-30, 40))

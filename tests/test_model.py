@@ -30,6 +30,7 @@ from coreselect.verify import random_instance
 from helpers import (
     bid_value_from_bids,
     coalition_value_table_by_relaxed,
+    coarse_grid_instance,
     exhaustive_best,
     general_auction_instance,
     instances,
@@ -142,7 +143,7 @@ class TestBidValue:
                 expected = bid_value_from_bids(instance, bidder.id, bundle)
                 assert instance.bid_value(bidder.id, bundle) == expected
 
-    @pytest.mark.parametrize("bidder_id", [0, -2, 4])
+    @pytest.mark.parametrize("bidder_id", [0, -2, 4, 1.5, 2.0])
     def test_unknown_bidder(self, bidder_id):
         with pytest.raises(InvalidCoalitionError):
             llg_instance(0.4, 0.5, 0.8).bid_value(bidder_id, BOTH)
@@ -162,6 +163,9 @@ class TestCoalitionalValue:
             coalitional_value(llg_instance(0.4, 0.5, 0.8), {1, 9})
         with pytest.raises(InvalidCoalitionError):
             coalitional_value(llg_instance(0.4, 0.5, 0.8), [0])
+        for bidder_id in (1.5, 2.0):
+            with pytest.raises(InvalidCoalitionError):
+                coalitional_value(llg_instance(0.4, 0.5, 0.8), [bidder_id])
 
     def test_table_matches_direct_computation(self):
         instance = llg_instance(0.6, 0.7, 1.0)
@@ -327,7 +331,7 @@ class TestProgramRows:
         ):
             calls = recorded_relaxations(walk, instance)
             assert [sum(h == k for h, _, _, _ in calls) for k in range(n)] == calls_per_bidder
-            # The relaxation count of ROADMAP item 1: sum(2**h * pairs_h)
+            # The relaxation count of ROADMAP's engine counters: sum(2**h * pairs_h)
             # for the table, one call per bidder for the chain. The table's
             # in-place relaxations of bidder n's rows are checked only by
             # TestEngineLoopsMatchTheirOracles, bit for bit.
@@ -342,19 +346,26 @@ class TestProgramRows:
                     assert parent_size == below[h]
 
 
+def assert_bounds_below_best(layer) -> None:
+    """No slot of the layer has a bound above its best: ``_relaxed``'s rule needs it."""
+    assert len(layer[0]) == len(layer[1])
+    assert all(bound <= best for best, bound in zip(layer[0], layer[1]))
+
+
 def recorded_relaxations(walk, instance) -> list[tuple[int, int, int, int]]:
     """Run a walk with ``model._relaxed`` recorded, one entry per call.
 
     Each entry is the bidder index, the parent layer's size, the child
     layer's size (both of its lists) and the number of (rest, goods) pairs
-    the call relaxed.
+    the call relaxed. Every child layer is checked with
+    ``assert_bounds_below_best``.
     """
     relaxed = model._relaxed
     calls = []
 
     def recorded(layer, h, cut, rows):
         child = relaxed(layer, h, cut, rows)
-        assert len(child[0]) == len(child[1])
+        assert_bounds_below_best(child)
         calls.append((h, len(layer[0]), len(child[0]), sum(len(pairs) for _, pairs in rows)))
         return child
 
@@ -367,11 +378,16 @@ def recorded_relaxations(walk, instance) -> list[tuple[int, int, int, int]]:
 
 
 def recorded_tie_breaks(walk, instance) -> list[tuple[int, int]]:
-    """Run a walk with ``model._tie_broken`` recorded: per call, the layer's bidder and size."""
+    """Run a walk with ``model._tie_broken`` recorded: per call, the layer's bidder and size.
+
+    Every layer traced, the table's one-slot leaves included, is checked
+    with ``assert_bounds_below_best``.
+    """
     tie_broken = model._tie_broken
     calls = []
 
     def recorded(options, slots, layer, full, tol):
+        assert_bounds_below_best(layer)
         calls.append((layer[2], len(layer[0])))
         return tie_broken(options, slots, layer, full, tol)
 
@@ -438,7 +454,9 @@ class TestCoalitionValueTableExact:
 
     # The general-auction benchmark's largest size, where the read sets of
     # the highest bidders hold a handful of the 256 goods masks.
-    @pytest.mark.parametrize("make", [twelve_bidder_instance, general_auction_instance])
+    @pytest.mark.parametrize(
+        "make", [twelve_bidder_instance, general_auction_instance, coarse_grid_instance]
+    )
     def test_general_auction_shape(self, make):
         instance = make()
         assert coalition_value_table(instance) == _search_table(instance)
@@ -538,10 +556,26 @@ class TestEngineLoopsMatchTheirOracles:
         for seed in range(3):
             self.assert_matches(seeded_instance(n, seed))
 
+    @staticmethod
+    def record_both_walks(instance):
+        """Both walks under both recorders, which check each layer's bounds."""
+        for walk in (winner_determination, coalition_value_table):
+            recorded_relaxations(walk, instance)
+            recorded_tie_breaks(walk, instance)
+
     @settings(max_examples=100, deadline=None)
     @given(instance=tie_heavy_instances())
     def test_tie_heavy_bids(self, instance):
         self.assert_matches(instance)
+        self.record_both_walks(instance)
+
+    def test_coarse_grid_ties(self):
+        instance = coarse_grid_instance()
+        self.assert_matches(instance)
+        ties = recorded_tie_breaks(coalition_value_table, instance)
+        # Most traced ties are at the leaves the table relaxes in place.
+        assert (len(ties), sum(h == instance.n - 1 for h, _ in ties)) == (475, 350)
+        self.record_both_walks(instance)
 
     def test_tie_only_at_a_coalition_with_bidder_n(self):
         # 0.25 + 0.5 == 0.75 exactly, so the locals and the global bidder
