@@ -5,10 +5,13 @@ verify-table, core-check. Exit codes: 0 on success, 1 when a verification
 check fails, 2 on usage or input errors.
 
 Each subparser carries its handler as ``args.run``. ``main`` reads each
-input once: it turns ``--rule`` into a ``ReferenceRule`` and ``--llg`` into
-an ``LlgBidProfile`` before it dispatches, inside the same ``try`` that
-turns input errors into exit code 2, so the handlers get a rule and a
-profile.
+input once: it turns ``--rule`` into a ``ReferenceRule``, ``--llg`` into an
+``LlgBidProfile`` and the ``--instance`` file into an ``AuctionInstance``
+before it dispatches, inside the same ``try`` that turns input errors into
+exit code 2, so the handlers get a rule, a profile and an instance. Each
+handler returns its exit code and text, and ``main`` writes the text to
+``--out`` or stdout; so ``--out`` is opened only once the command has run.
+``region-map`` alone streams its CSV and SVG itself and returns no text.
 
 The parser is built on the first call of ``main`` and reused for the rest
 of the process. That is safe because ``parse_args`` returns a fresh
@@ -40,7 +43,7 @@ from .llg import (
     sensitivity,
     sensitivity2,
 )
-from .model import AuctionInstance, LlgBidProfile, instance_from_json
+from .model import LlgBidProfile, instance_from_json
 from .reference import ReferenceRule, reference_point
 from .verify import DEFAULT_SEED, BoundaryProximityError, numeric_derivative, run_all
 
@@ -150,8 +153,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--payments", nargs="*", type=float, required=True, help="one payment per bidder"
     )
 
-    # Every subcommand writes through _write, which reads --out; declared
-    # last, so it stays the last option in each --help.
+    # main writes each subcommand's text to --out, and region-map streams
+    # its CSV there; declared last, so it stays the last option in each --help.
     for p in sub.choices.values():
         p.add_argument("--out", help="write output to this path instead of stdout")
     return parser
@@ -174,54 +177,38 @@ def _output(args: argparse.Namespace) -> contextlib.AbstractContextManager[TextI
     return _open_for_writing(args.out) if args.out else contextlib.nullcontext(sys.stdout)
 
 
-def _write(args: argparse.Namespace, text: str) -> None:
-    with _output(args) as out:
-        out.write(text)
-
-
-def _load_instance(path: str) -> AuctionInstance:
-    with open(path, encoding="utf-8") as handle:
-        return instance_from_json(handle.read())
-
-
 def _case_label(profile: LlgBidProfile) -> str:
     return classify_case(profile).value if profile.locals_win() else "global_winner"
 
 
-def _cmd_payments(args: argparse.Namespace) -> int:
+def _cmd_payments(args: argparse.Namespace) -> tuple[int, str]:
     profile = args.llg
     if profile is None:
-        line = _fmt_vector(reference_point(_load_instance(args.instance), args.rule))
-    else:
-        # The closed forms hold where the locals win; the engine prices the rest.
-        vector = (
-            closed_form_reference(profile, args.rule)
-            if profile.locals_win()
-            else reference_point(profile.to_instance(), args.rule)
-        )
-        line = f"case={_case_label(profile)} {_fmt_vector(vector)}"
-    _write(args, line + "\n")
-    return 0
+        return 0, _fmt_vector(reference_point(args.instance, args.rule)) + "\n"
+    # The closed forms hold where the locals win; the engine prices the rest.
+    vector = (
+        closed_form_reference(profile, args.rule)
+        if profile.locals_win()
+        else reference_point(profile.to_instance(), args.rule)
+    )
+    return 0, f"case={_case_label(profile)} {_fmt_vector(vector)}\n"
 
 
-def _cmd_project(args: argparse.Namespace) -> int:
+def _cmd_project(args: argparse.Namespace) -> tuple[int, str]:
     reference = reference_point(args.llg.to_instance(), args.rule)
     projected = project_to_mrc(args.llg, reference, c=args.metric)
-    _write(args, f"case={_case_label(args.llg)} {_fmt_vector(projected)}\n")
-    return 0
+    return 0, f"case={_case_label(args.llg)} {_fmt_vector(projected)}\n"
 
 
-def _cmd_sensitivity(args: argparse.Namespace) -> int:
-    line = (
+def _cmd_sensitivity(args: argparse.Namespace) -> tuple[int, str]:
+    return 0, (
         f"case={classify_case(args.llg).value}"
         f" sens1={_fmt(sensitivity(args.llg, args.rule))}"
         f" sens2={_fmt(sensitivity2(args.llg, args.rule))}\n"
     )
-    _write(args, line)
-    return 0
 
 
-def _cmd_derivative(args: argparse.Namespace) -> int:
+def _cmd_derivative(args: argparse.Namespace) -> tuple[int, str]:
     report = projection_derivative(args.llg, args.rule)
     try:
         numeric = _fmt(numeric_derivative(args.llg, args.rule, args.step))
@@ -233,8 +220,7 @@ def _cmd_derivative(args: argparse.Namespace) -> int:
     )
     if report.boundary:
         line += " boundary=1"
-    _write(args, line + "\n")
-    return 0
+    return 0, line + "\n"
 
 
 def render_region_map_svg(grid: RegionMap, out: TextIO | None = None) -> str | None:
@@ -278,7 +264,7 @@ def render_region_map_svg(grid: RegionMap, out: TextIO | None = None) -> str | N
     return target.getvalue() if out is None else None
 
 
-def _cmd_region_map(args: argparse.Namespace) -> int:
+def _cmd_region_map(args: argparse.Namespace) -> tuple[int, None]:
     grid = region_map(args.rule, g=args.g, resolution=args.resolution)
     # Opened first, so an SVG path that cannot be opened fails before any
     # output. The CSV is flushed, and its file closed, before the SVG is
@@ -295,10 +281,10 @@ def _cmd_region_map(args: argparse.Namespace) -> int:
             # be truncated.
             if stat.S_ISREG(os.fstat(svg.fileno()).st_mode):
                 svg.truncate()
-    return 0
+    return 0, None
 
 
-def _cmd_verify_table(args: argparse.Namespace) -> int:
+def _cmd_verify_table(args: argparse.Namespace) -> tuple[int, str]:
     results = run_all(samples_per_case=args.samples, seed=args.seed)
     lines = []
     for result in results:
@@ -306,8 +292,7 @@ def _cmd_verify_table(args: argparse.Namespace) -> int:
         lines.extend(f"  {note}" for note in result.notes)
     all_ok = all(result.ok for result in results)
     lines.append("all suites passed" if all_ok else "verification FAILED")
-    _write(args, "\n".join(lines) + "\n")
-    return 0 if all_ok else 1
+    return (0 if all_ok else 1), "\n".join(lines) + "\n"
 
 
 def _violations_json(found: list[CoreViolation]) -> str:
@@ -345,22 +330,30 @@ def _json_ids(ids: frozenset[int]) -> str:
     return "[\n      " + ",\n      ".join(map(str, sorted(ids))) + "\n    ]"
 
 
-def _cmd_core_check(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance) if args.llg is None else args.llg.to_instance()
+def _cmd_core_check(args: argparse.Namespace) -> tuple[int, str]:
+    instance = args.instance if args.llg is None else args.llg.to_instance()
     found = core_violations(instance, args.payments)
-    _write(args, _violations_json(found))
-    return 1 if found else 0
+    return (1 if found else 0), _violations_json(found)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        # Each input is read here once; the handlers get a rule and a profile.
+        # Each input is read here once; the handlers get a rule, a profile
+        # and an instance.
         if hasattr(args, "rule"):
             args.rule = ReferenceRule(args.rule)
         if getattr(args, "llg", None) is not None:
             args.llg = LlgBidProfile(*args.llg)
-        return args.run(args)
+        if getattr(args, "instance", None) is not None:
+            with open(args.instance, encoding="utf-8") as handle:
+                args.instance = instance_from_json(handle.read())
+        code, text = args.run(args)
+        # Only region-map, which streams its own files, returns no text.
+        if text is not None:
+            with _output(args) as out:
+                out.write(text)
+        return code
     except (OSError, ValueError) as exc:
         # Input errors: JSON decoding and every coreselect error are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)

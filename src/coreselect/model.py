@@ -51,6 +51,11 @@ class InvalidCoalitionError(ValueError):
     """A coalition names a bidder id the instance does not contain."""
 
 
+def _is_bidder_id(value: object, n: int) -> bool:
+    """The bidder-id rule: an ``int`` in 1..n, and never a ``bool``, which equals 0 or 1."""
+    return isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= n
+
+
 @dataclass(frozen=True)
 class Bid:
     bundle: frozenset[str]
@@ -154,7 +159,7 @@ class AuctionInstance:
         if len(self.bidders) > MAX_BIDDERS:
             raise SizeLimitError(f"at most {MAX_BIDDERS} bidders supported, got {len(self.bidders)}")
         ids = [bidder.id for bidder in self.bidders]
-        if ids != list(range(1, len(ids) + 1)):
+        if not all(_is_bidder_id(i, len(ids)) and i == k for k, i in enumerate(ids, 1)):
             raise ValueError(f"bidder ids must be 1..n in order, got {ids}")
         good_index = {good: i for i, good in enumerate(self.goods)}
         options = tuple(_bidder_options(bidder, good_index) for bidder in self.bidders)
@@ -185,10 +190,10 @@ class AuctionInstance:
     def bid_value(self, bidder_id: int, bundle: frozenset[str]) -> float:
         """The bidder's highest bid on exactly this bundle (0 if empty or unlisted).
 
-        Raises ``InvalidCoalitionError`` for an id that is not an ``int`` in 1..n.
+        Raises ``InvalidCoalitionError`` for an id that breaks ``_is_bidder_id``.
         """
-        if not (isinstance(bidder_id, int) and 1 <= bidder_id <= self.n):
-            raise InvalidCoalitionError(f"unknown bidder id: {bidder_id}")
+        if not _is_bidder_id(bidder_id, self.n):
+            raise InvalidCoalitionError(f"unknown bidder id: {bidder_id!r}")
         for _, value, award in self.options[bidder_id - 1]:
             if award == bundle:
                 return value
@@ -375,11 +380,17 @@ def winner_determination(instance: AuctionInstance) -> Allocation:
 
 
 def _validated_coalition(instance: AuctionInstance, coalition: Iterable[int]) -> set[int]:
-    ids = set(coalition)
-    unknown = {i for i in ids if not (isinstance(i, int) and 1 <= i <= instance.n)}
+    """The coalition's ids as a set, once each entry is checked by ``_is_bidder_id``.
+
+    Each entry is checked before the set is built, where ``True`` would
+    merge with 1 and ``1.0`` with 1. The unknown ones are reported in the
+    coalition's order, so they need not be hashable or sortable.
+    """
+    ids = list(coalition)
+    unknown = [i for i in ids if not _is_bidder_id(i, instance.n)]
     if unknown:
-        raise InvalidCoalitionError(f"unknown bidder ids in coalition: {sorted(unknown)}")
-    return ids
+        raise InvalidCoalitionError(f"unknown bidder ids in coalition: {unknown}")
+    return set(ids)
 
 
 def coalitional_value(instance: AuctionInstance, coalition: Iterable[int]) -> float:

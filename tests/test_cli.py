@@ -218,6 +218,38 @@ class TestParserReuse:
         assert done.stdout == "0\n"
 
 
+class TestOutFile:
+    """``main`` writes a command's text to --out only once the command has run."""
+
+    @pytest.mark.parametrize(
+        "argv, expected_code",
+        [
+            (["payments", "--instance", "missing.json", "--rule", "vcg"], 2),
+            (["project", "--llg", "0.4", "0.5", "0.8", "--rule", "vcg", "--metric", "1"], 2),
+            # The global bidder wins at (0.2, 0.3, 0.9).
+            (["sensitivity", "--llg", "0.2", "0.3", "0.9", "--rule", "vcg"], 2),
+            (["derivative", "--llg", "0.4", "0.8", "0.8", "--rule", "vcg", "--step", "0"], 2),
+            (["core-check", "--llg", "0.4", "0.5", "0.8", "--payments", "0.35", "0.45"], 2),
+            (["verify-table", "--samples", "0"], 2),
+            # VCG's payments fall short of the global bidder's bid: exit 1 with a report.
+            (["core-check", "--llg", "0.4", "0.5", "0.8", "--payments", "0.3", "0.4", "0"], 1),
+        ],
+    )
+    def test_written_only_after_the_command_runs(
+        self, capsys, tmp_path, monkeypatch, argv, expected_code
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, printed, err = run(capsys, *argv)
+        assert code == expected_code
+        assert run(capsys, *argv, "--out", "out.txt") == (code, "", err)
+        if code == 2:
+            assert printed == "" and not (tmp_path / "out.txt").exists()
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        else:
+            assert json.loads(printed) and err == ""
+            assert (tmp_path / "out.txt").read_text(encoding="utf-8") == printed
+
+
 # Each command's arguments besides --llg and --instance.
 _LLG_OR_INSTANCE_TAILS = {
     "payments": ("--rule", "vcg"),

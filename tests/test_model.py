@@ -143,7 +143,7 @@ class TestBidValue:
                 expected = bid_value_from_bids(instance, bidder.id, bundle)
                 assert instance.bid_value(bidder.id, bundle) == expected
 
-    @pytest.mark.parametrize("bidder_id", [0, -2, 4, 1.5, 2.0])
+    @pytest.mark.parametrize("bidder_id", [0, -2, 4, 1.5, 2.0, True, None, "1"])
     def test_unknown_bidder(self, bidder_id):
         with pytest.raises(InvalidCoalitionError):
             llg_instance(0.4, 0.5, 0.8).bid_value(bidder_id, BOTH)
@@ -166,6 +166,11 @@ class TestCoalitionalValue:
         for bidder_id in (1.5, 2.0):
             with pytest.raises(InvalidCoalitionError):
                 coalitional_value(llg_instance(0.4, 0.5, 0.8), [bidder_id])
+        # Ids that cannot be sorted together or hashed, None, and True, which
+        # equals 1 and so would merge with it in a set.
+        for coalition in (["a", 9], [None], [True], [1, True], [[1]]):
+            with pytest.raises(InvalidCoalitionError):
+                coalitional_value(llg_instance(0.4, 0.5, 0.8), coalition)
 
     def test_table_matches_direct_computation(self):
         instance = llg_instance(0.6, 0.7, 1.0)
@@ -779,9 +784,11 @@ class TestValidation:
         with pytest.raises(SizeLimitError):
             AuctionInstance(("g1",), bidders)
 
-    def test_non_dense_ids(self):
-        with pytest.raises(ValueError):
-            AuctionInstance(("g1",), (Bidder(2, ()),))
+    @pytest.mark.parametrize("bidder_id", [2, 1.0, True])
+    def test_non_dense_ids(self, bidder_id):
+        # 1.0 and True equal 1, yet neither is an int id.
+        with pytest.raises(ValueError, match=r"bidder ids must be 1\.\.n in order"):
+            AuctionInstance(("g1",), (Bidder(bidder_id, ()),))
 
     def test_undeclared_good(self):
         with pytest.raises(ValueError):
