@@ -21,8 +21,11 @@ one tie with it, so the tie window scales with them.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
+import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -34,6 +37,14 @@ MAX_GOODS = 8
 TIE_TOLERANCE = 1e-12
 
 LLG_GOODS = ("g1", "g2")
+# The LLG bundles: local 1's good, local 2's good and the global package.
+_LLG_BUNDLES = (frozenset({"g1"}), frozenset({"g2"}), frozenset(LLG_GOODS))
+
+# Every finite float is at most this, and an int above it has no float.
+_LARGEST_FLOAT = sys.float_info.max
+
+# An option's value: options are (goods mask, value, award) triples.
+_option_value = operator.itemgetter(1)
 
 # SHAPLEY_WEIGHTS[p][t] = t! (p - t - 1)! / p!: the share of the p! arrival
 # orders of a p-player game in which a player finds a given t others there.
@@ -159,17 +170,20 @@ class AuctionInstance:
         if len(self.bidders) > MAX_BIDDERS:
             raise SizeLimitError(f"at most {MAX_BIDDERS} bidders supported, got {len(self.bidders)}")
         ids = [bidder.id for bidder in self.bidders]
-        if not all(_is_bidder_id(i, len(ids)) and i == k for k, i in enumerate(ids, 1)):
+        n = len(ids)
+        # The rule checks every id before == compares the ids with 1..n.
+        if not all(map(_is_bidder_id, ids, itertools.repeat(n))) or ids != list(range(1, n + 1)):
             raise ValueError(f"bidder ids must be 1..n in order, got {ids}")
         good_index = {good: i for i, good in enumerate(self.goods)}
-        options = tuple(_bidder_options(bidder, good_index) for bidder in self.bidders)
+        options = tuple([_bidder_options(bidder, good_index) for bidder in self.bidders])
         # The sum of each bidder's largest bid bounds every welfare the engine
         # sums, since float addition is monotone.
         total = scale = 0.0
         for bidder_options in options:
-            largest = max(value for _, value, _ in bidder_options)
+            largest = max(map(_option_value, bidder_options))
             total += largest
-            scale = max(scale, largest)
+            if largest > scale:
+                scale = largest
         if not total < math.inf:
             raise ValueError("the bidders' largest bids must have a finite sum")
         object.__setattr__(self, "scale", scale)
@@ -206,9 +220,19 @@ class AuctionInstance:
 
     @_solved_once
     def realized(self) -> tuple[float, ...]:
-        """Each bidder's accepted bid value under ``allocation``, in id order."""
-        allocation = self.allocation
-        return tuple(self.bid_value(i, allocation.bundle_for(i)) for i in self.bidder_ids())
+        """Each bidder's accepted bid value under ``allocation``, in id order.
+
+        ``winner_determination`` awards each bidder the award object of one
+        of its ``options``, so each value is read off the option whose award
+        is that object: the value ``bid_value`` gives for the awarded bundle.
+        """
+        values = []
+        for bidder_options, bundle in zip(self.options, self.allocation.assignment.values()):
+            for _, value, award in bidder_options:
+                if award is bundle:
+                    values.append(value)
+                    break
+        return tuple(values)
 
     @_solved_once
     def coalition_values(self) -> tuple[float, ...]:
@@ -223,7 +247,7 @@ class AuctionInstance:
         else must pay together; the entry of everyone but bidder i is i's VCG
         payment. The accepted bids are added by ``id_order_sums``.
         """
-        return tuple(v - a for v, a in zip(self.coalition_values, id_order_sums(self.realized)))
+        return tuple(map(operator.sub, self.coalition_values, id_order_sums(self.realized)))
 
     @_solved_once
     def shapley_values(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -247,12 +271,13 @@ class Allocation:
 
 def llg_instance(a: float, b: float, g: float) -> AuctionInstance:
     """Three-bidder LLG shorthand: locals bid on one good each, the global bidder on both."""
+    one, two, both = _LLG_BUNDLES
     return AuctionInstance(
         goods=LLG_GOODS,
         bidders=(
-            Bidder(1, (Bid(frozenset({"g1"}), float(a)),)),
-            Bidder(2, (Bid(frozenset({"g2"}), float(b)),)),
-            Bidder(3, (Bid(frozenset({"g1", "g2"}), float(g)),)),
+            Bidder(1, (Bid(one, float(a)),)),
+            Bidder(2, (Bid(two, float(b)),)),
+            Bidder(3, (Bid(both, float(g)),)),
         ),
     )
 
@@ -267,21 +292,27 @@ def _bidder_options(bidder: Bidder, good_index: dict[str, int]):
     """
     best_by_key: dict[tuple[int, ...], tuple[float, frozenset[str]]] = {}
     for bid in bidder.bids:
-        if not bid.bundle:
+        bundle, value = bid.bundle, bid.value
+        if not bundle:
             raise ValueError(f"bidder {bidder.id} bids on an empty bundle")
-        if not bid.bundle <= good_index.keys():
-            undeclared = sorted(good for good in bid.bundle if good not in good_index)
+        # One lookup per good finds the undeclared ones and gives the sort key.
+        indices = list(map(good_index.get, bundle))
+        if None in indices:
+            undeclared = sorted(good for good in bundle if good not in good_index)
             raise ValueError(f"bidder {bidder.id} bids on undeclared goods {undeclared}")
-        if not math.isfinite(bid.value) or bid.value < 0:
+        # One chained test: NaN, negatives, infinities and an int too large
+        # for a float all fail it.
+        if not 0.0 <= value <= _LARGEST_FLOAT:
             raise ValueError(
                 f"bidder {bidder.id} has a bid value that is not a finite non-negative number"
             )
-        if bid.value <= 0.0:
+        if value <= 0.0:
             continue
-        key = tuple(sorted(good_index[good] for good in bid.bundle))
+        indices.sort()
+        key = tuple(indices)
         current = best_by_key.get(key)
-        if current is None or bid.value > current[0]:
-            best_by_key[key] = (bid.value, bid.bundle)
+        if current is None or value > current[0]:
+            best_by_key[key] = (value, bundle)
     options = []
     for key in sorted(best_by_key):
         value, bundle = best_by_key[key]
@@ -376,7 +407,7 @@ def winner_determination(instance: AuctionInstance) -> Allocation:
     else:
         picks = _best_path(options, slots, layer, full)
     bundles = [bidder_options[k][2] for bidder_options, k in zip(options, picks)]
-    return Allocation(dict(zip(instance.bidder_ids(), bundles)), welfare)
+    return Allocation(dict(enumerate(bundles, 1)), welfare)
 
 
 def _validated_coalition(instance: AuctionInstance, coalition: Iterable[int]) -> set[int]:

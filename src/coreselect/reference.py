@@ -15,6 +15,7 @@ from __future__ import annotations
 from enum import Enum
 from itertools import permutations
 from math import factorial
+from operator import sub
 
 from .model import SHAPLEY_WEIGHTS, AuctionInstance, SizeLimitError
 
@@ -68,7 +69,7 @@ def shapley_payoffs(instance: AuctionInstance, with_auctioneer: bool = False) ->
 def shapley_payments(instance: AuctionInstance, with_auctioneer: bool = False) -> tuple[float, ...]:
     """Accepted-bid value minus the Shapley payoff, computed on reported bids."""
     payoffs = shapley_payoffs(instance, with_auctioneer)
-    return tuple(value - payoff for value, payoff in zip(instance.realized, payoffs))
+    return tuple(map(sub, instance.realized, payoffs))
 
 
 def auctioneer_payoff(instance: AuctionInstance) -> float:

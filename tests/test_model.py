@@ -2,6 +2,7 @@ import json
 import math
 import pydoc
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -45,6 +46,8 @@ from helpers import (
 G1 = frozenset({"g1"})
 G2 = frozenset({"g2"})
 BOTH = frozenset({"g1", "g2"})
+
+BAD_VALUE = "bidder 1 has a bid value that is not a finite non-negative number"
 
 
 def _search_table(instance):
@@ -753,6 +756,50 @@ class TestSolvedOnceDescriptor:
         assert descriptor.__doc__ in pydoc.render_doc(AuctionInstance, renderer=pydoc.plaintext)
 
 
+@st.composite
+def duplicate_bundle_instances(draw):
+    """Instances whose bidders bid on one bundle more than once, zero values among them."""
+    m = draw(st.integers(1, 3))
+    goods = tuple(f"g{k}" for k in range(1, m + 1))
+    bundles = st.frozensets(st.sampled_from(goods), min_size=1)
+    values = st.one_of(st.just(0.0), st.floats(0.0, 5.0))
+    bidders = []
+    for i in range(1, draw(st.integers(1, 4)) + 1):
+        listed = draw(st.lists(bundles, max_size=3))
+        # The first bundle again, most often at another value.
+        bids = tuple(Bid(bundle, draw(values)) for bundle in (*listed, *listed[:1]))
+        bidders.append(Bidder(i, bids))
+    return AuctionInstance(goods, tuple(bidders))
+
+
+class TestRealized:
+    """``realized`` is the raw bids' highest value on each awarded bundle, to the bit."""
+
+    @staticmethod
+    def _check(instance):
+        allocation = instance.allocation
+        expected = [
+            bid_value_from_bids(instance, i, allocation.bundle_for(i)) for i in instance.bidder_ids()
+        ]
+        assert [float.hex(value) for value in instance.realized] == [
+            float.hex(value) for value in expected
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(instance=duplicate_bundle_instances())
+    @example(
+        instance=AuctionInstance(("g1",), (Bidder(1, (Bid(G1, 0.0), Bid(G1, 0.7), Bid(G1, 0.3))),))
+    )
+    @example(instance=AuctionInstance(("g1",), (Bidder(1, (Bid(G1, 0.0), Bid(G1, 0.0))),)))
+    def test_duplicate_and_zero_bids(self, instance):
+        self._check(instance)
+
+    @settings(max_examples=60, deadline=None)
+    @given(instance=tie_heavy_instances())
+    def test_tie_heavy(self, instance):
+        self._check(instance)
+
+
 class TestRealizedWelfare:
     def test_on_locals_win(self):
         instance = llg_instance(0.4, 0.5, 0.8)
@@ -791,12 +838,42 @@ class TestValidation:
             AuctionInstance(("g1",), (Bidder(bidder_id, ()),))
 
     def test_undeclared_good(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^bidder 1 bids on undeclared goods \['gX'\]$"):
             AuctionInstance(("g1",), (Bidder(1, (Bid(frozenset({"gX"}), 1.0),)),))
 
     def test_negative_value(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{BAD_VALUE}$"):
             AuctionInstance(("g1",), (Bidder(1, (Bid(G1, -0.1),)),))
+
+    # Ints above the largest float have no float: 10**400 and 2**1024 once
+    # escaped the value test as an OverflowError, and the int just above the
+    # largest float would round down to it, yet is refused like them.
+    @pytest.mark.parametrize(
+        "value", [math.nan, -1, math.inf, 10**400, 2**1024, int(sys.float_info.max) + 1]
+    )
+    def test_value_not_finite_non_negative(self, value):
+        with pytest.raises(ValueError, match=f"^{BAD_VALUE}$"):
+            AuctionInstance(("g1",), (Bidder(1, (Bid(G1, value),)),))
+
+    def test_largest_float_as_int_is_a_bid(self):
+        value = int(sys.float_info.max)
+        instance = AuctionInstance(("g1",), (Bidder(1, (Bid(G1, value),)),))
+        assert instance.scale == value
+        assert instance.realized == (value,)
+
+    @pytest.mark.parametrize(
+        "bundle, message",
+        [
+            (frozenset({"gX"}), r"^bidder 1 bids on undeclared goods \['gX'\]$"),
+            (frozenset({"g1", "gY", "gX"}), r"^bidder 1 bids on undeclared goods \['gX', 'gY'\]$"),
+            (frozenset(), "^bidder 1 bids on an empty bundle$"),
+        ],
+    )
+    def test_bundle_faults_are_reported_before_the_value(self, bundle, message):
+        # A bid with several faults reports the first in the order the bid is
+        # checked: an empty bundle, then undeclared goods, then the value.
+        with pytest.raises(ValueError, match=message):
+            AuctionInstance(("g1",), (Bidder(1, (Bid(bundle, math.nan),)),))
 
     def test_negative_llg_bid(self):
         with pytest.raises(ValueError):
