@@ -145,17 +145,20 @@ class _solved_once:
 class AuctionInstance:
     """An auction with named goods and XOR bidders with ids 1..n, in order.
 
-    Construction reads each bid once: it checks it, and builds from the
-    bids each bidder's candidate awards (``options``), the largest bid
-    (``scale``) and the goods-mask program's rows. The efficient
-    allocation, the realized bid values, the coalition value table, each
-    coalition's lost welfare and both Shapley payoff vectors are solved on
-    first use and kept on the instance; every payment rule and the core
-    constraints read them from there.
+    Construction reads each bid once: it checks it, stores the numbers of
+    bidders (``n``) and goods (``m``), and builds from the bids each
+    bidder's candidate awards (``options``), the largest bid (``scale``)
+    and the goods-mask program's rows. The efficient allocation, which
+    carries the winners' accepted bids (``realized``), the coalition value
+    table, each coalition's lost welfare and both Shapley payoff vectors
+    are solved on first use and kept on the instance; every payment rule
+    and the core constraints read them from there.
     """
 
     goods: tuple[str, ...]
     bidders: tuple[Bidder, ...]
+    n: int = field(init=False, repr=False, compare=False)  # number of bidders
+    m: int = field(init=False, repr=False, compare=False)  # number of goods
     scale: float = field(init=False, repr=False, compare=False)  # largest bid, 0.0 if none
     # Each bidder's candidate awards (``_bidder_options``), in id order.
     options: tuple = field(init=False, repr=False, compare=False)
@@ -186,17 +189,11 @@ class AuctionInstance:
                 scale = largest
         if not total < math.inf:
             raise ValueError("the bidders' largest bids must have a finite sum")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", len(self.goods))
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "options", options)
         object.__setattr__(self, "_program", _program_rows(self))
-
-    @property
-    def n(self) -> int:
-        return len(self.bidders)
-
-    @property
-    def m(self) -> int:
-        return len(self.goods)
 
     def bidder_ids(self) -> tuple[int, ...]:
         return tuple(bidder.id for bidder in self.bidders)
@@ -222,17 +219,11 @@ class AuctionInstance:
     def realized(self) -> tuple[float, ...]:
         """Each bidder's accepted bid value under ``allocation``, in id order.
 
-        ``winner_determination`` awards each bidder the award object of one
-        of its ``options``, so each value is read off the option whose award
-        is that object: the value ``bid_value`` gives for the awarded bundle.
+        The allocation's ``values``: the value of the option
+        ``winner_determination`` picked for each bidder, which is the value
+        ``bid_value`` gives for the awarded bundle.
         """
-        values = []
-        for bidder_options, bundle in zip(self.options, self.allocation.assignment.values()):
-            for _, value, award in bidder_options:
-                if award is bundle:
-                    values.append(value)
-                    break
-        return tuple(values)
+        return self.allocation.values
 
     @_solved_once
     def coalition_values(self) -> tuple[float, ...]:
@@ -257,10 +248,15 @@ class AuctionInstance:
 
 @dataclass
 class Allocation:
-    """A feasible assignment of bundles to bidders and the welfare it realises."""
+    """A feasible assignment of bundles to bidders, the welfare it realises and its bids.
+
+    ``values`` holds each bidder's accepted bid value, in id order, read
+    from the options that give the bundles; ``welfare`` is their id-order sum.
+    """
 
     assignment: dict[int, frozenset[str]]
     welfare: float
+    values: tuple[float, ...]
 
     def bundle_for(self, bidder_id: int) -> frozenset[str]:
         return self.assignment.get(bidder_id, frozenset())
@@ -386,13 +382,14 @@ def winner_determination(instance: AuctionInstance) -> Allocation:
     non-empty bundles ordered before the empty award. So lower bidder ids
     win ties, and at an exact locals/global welfare tie in LLG the locals
     win. ``welfare`` is the winning assignment's welfare, the grand
-    coalition's entry of ``coalition_value_table``. The goods-mask program
+    coalition's entry of ``coalition_value_table``, and ``values`` the
+    values of the options picked for the bundles. The goods-mask program
     builds only the coalitions {1}, {1, 2}, ..., {1..n}, and the grand
     coalition's assignment is read off its layers by ``_best_path``, or
     traced by ``_tie_broken`` where another welfare ties the best one.
     """
     if not instance.bidders:
-        return Allocation({}, 0.0)
+        return Allocation({}, 0.0, ())
     full = (1 << instance.m) - 1
     options = instance.options
     tol = TIE_TOLERANCE * instance.scale
@@ -406,8 +403,8 @@ def winner_determination(instance: AuctionInstance) -> Allocation:
         welfare, picks = _tie_broken(options, slots, layer, full, tol)
     else:
         picks = _best_path(options, slots, layer, full)
-    bundles = [bidder_options[k][2] for bidder_options, k in zip(options, picks)]
-    return Allocation(dict(enumerate(bundles, 1)), welfare)
+    _, values, bundles = zip(*map(operator.getitem, options, picks))
+    return Allocation(dict(enumerate(bundles, 1)), welfare, values)
 
 
 def _validated_coalition(instance: AuctionInstance, coalition: Iterable[int]) -> set[int]:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pydoc
@@ -25,7 +26,7 @@ from coreselect import (
     winner_determination,
 )
 from coreselect import model
-from coreselect.model import TIE_TOLERANCE, _program_rows
+from coreselect.model import TIE_TOLERANCE, _program_rows, id_order_sums
 from coreselect.reference import ReferenceRule
 from coreselect.verify import random_instance
 from helpers import (
@@ -784,6 +785,12 @@ class TestRealized:
         assert [float.hex(value) for value in instance.realized] == [
             float.hex(value) for value in expected
         ]
+        assert len(allocation.values) == instance.n
+        assert instance.realized is allocation.values
+        # Exact, not approximate: so the grand coalition loses nothing, and
+        # a loser's VCG payment is exactly 0.0.
+        assert float.hex(allocation.welfare) == float.hex(id_order_sums(allocation.values)[-1])
+        assert instance.lost_welfare[-1] == 0.0
 
     @settings(max_examples=100, deadline=None)
     @given(instance=duplicate_bundle_instances())
@@ -797,6 +804,18 @@ class TestRealized:
     @settings(max_examples=60, deadline=None)
     @given(instance=tie_heavy_instances())
     def test_tie_heavy(self, instance):
+        self._check(instance)
+
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            *EDGE_INSTANCES.values(),
+            *(seeded_instance(n, s) for n in range(13) for s in range(2)),
+            coarse_grid_instance(),
+            twelve_bidder_instance(),
+        ],
+    )
+    def test_fixed_instances(self, instance):
         self._check(instance)
 
 
@@ -968,6 +987,9 @@ def test_welfare_equals_grand_coalition_value(instance):
 @settings(max_examples=60, deadline=None)
 @given(instance=instances())
 def test_allocation_feasible_and_welfare_consistent(instance):
+    # The sizes are stored at construction, and a replaced instance gets its own.
+    assert (instance.n, instance.m) == (len(instance.bidders), len(instance.goods))
+    assert dataclasses.replace(instance, bidders=instance.bidders[:-1]).n == instance.n - 1
     allocation = winner_determination(instance)
     used: set[str] = set()
     total = 0.0
